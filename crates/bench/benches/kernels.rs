@@ -8,9 +8,9 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lad_attack::{taint_observation, AttackClass};
 use lad_core::engine::{DetectionRequest, LadEngine};
-use lad_core::metrics::{score_all_fused, score_all_fused_sparse, score_all_fused_sparse_obs};
+use lad_core::metrics::{score_all_fused, score_all_fused_sparse_soa, FusedSoaScratch};
 use lad_core::{ExpectedObservation, LadDetector, MetricKind};
-use lad_deployment::{gz_exact, DeploymentConfig, DeploymentKnowledge, GzTable, SparseMu};
+use lad_deployment::{gz_exact, DeploymentConfig, DeploymentKnowledge, GzTable, MuCache, SparseMu};
 use lad_geometry::Point2;
 use lad_localization::BeaconlessMle;
 use lad_net::{Network, NodeId, ObservationBatch};
@@ -51,11 +51,11 @@ fn bench_kernels(c: &mut Criterion) {
     });
     group.bench_function("diff_metric_score", |b| {
         let metric = MetricKind::Diff.metric();
-        b.iter(|| metric.score_from_expected(black_box(&expected), black_box(&obs)))
+        b.iter(|| metric.score(black_box(&obs), expected.mu(), expected.group_size()))
     });
     group.bench_function("probability_metric_score", |b| {
         let metric = MetricKind::Probability.metric();
-        b.iter(|| metric.score_from_expected(black_box(&expected), black_box(&obs)))
+        b.iter(|| metric.score(black_box(&obs), expected.mu(), expected.group_size()))
     });
     group.bench_function("beaconless_mle_localize", |b| {
         b.iter(|| localizer.estimate(&knowledge, black_box(&obs)))
@@ -77,7 +77,13 @@ fn bench_kernels(c: &mut Criterion) {
     for kind in MetricKind::ALL {
         group.bench_function(&format!("{}_metric_score_paper_scale", kind.name()), |b| {
             let metric = kind.metric();
-            b.iter(|| metric.score_from_expected(black_box(&paper_expected), black_box(&paper_obs)))
+            b.iter(|| {
+                metric.score(
+                    black_box(&paper_obs),
+                    paper_expected.mu(),
+                    paper_expected.group_size(),
+                )
+            })
         });
     }
     // The headline kernel comparison: the full per-request fused scoring
@@ -97,17 +103,17 @@ fn bench_kernels(c: &mut Criterion) {
         })
     });
     group.bench_function("fused_score_sparse_paper_scale", |b| {
-        let mut smu = SparseMu::new();
+        let (mut smu, mut soa) = (SparseMu::new(), FusedSoaScratch::new());
         b.iter(|| {
             paper_knowledge.expected_sparse_into(black_box(paper_at), &mut smu);
-            score_all_fused_sparse(black_box(paper_batch.row(0)), &smu)
+            score_all_fused_sparse_soa(black_box(paper_batch.row(0)), &smu, &mut soa)
         })
     });
-    group.bench_function("fused_score_sparse_dense_obs_paper_scale", |b| {
-        let mut smu = SparseMu::new();
+    group.bench_function("fused_score_cached_paper_scale", |b| {
+        let (mut cache, mut soa) = (MuCache::new(64), FusedSoaScratch::new());
         b.iter(|| {
-            paper_knowledge.expected_sparse_into(black_box(paper_at), &mut smu);
-            score_all_fused_sparse_obs(black_box(&paper_obs), &smu)
+            let smu = paper_knowledge.expected_sparse_cached(black_box(paper_at), &mut cache);
+            score_all_fused_sparse_soa(black_box(paper_batch.row(0)), smu, &mut soa)
         })
     });
     group.bench_function("expected_sparse_into_paper_scale", |b| {
@@ -144,10 +150,10 @@ fn bench_kernels(c: &mut Criterion) {
         })
     });
     group.bench_function("fused_score_sparse_4x_scale", |b| {
-        let mut smu = SparseMu::new();
+        let (mut smu, mut soa) = (SparseMu::new(), FusedSoaScratch::new());
         b.iter(|| {
             big_knowledge.expected_sparse_into(black_box(big_at), &mut smu);
-            score_all_fused_sparse(black_box(big_batch.row(0)), &smu)
+            score_all_fused_sparse_soa(black_box(big_batch.row(0)), &smu, &mut soa)
         })
     });
     group.bench_function("greedy_taint_diff_dec_bounded", |b| {
@@ -240,19 +246,12 @@ fn bench_engine_batch(c: &mut Criterion) {
     group.bench_function("score_batch_100k", |b| {
         b.iter(|| engine.score_batch(black_box(&requests_100k)))
     });
-    // The flat entry points: dense requests vs CSR rows, scores written
-    // into one reused buffer (the serving ingest shape).
+    // The flat entry point: CSR rows, scores written into one reused
+    // buffer (the serving ingest shape).
     let mut rows_100k = ObservationBatch::new(knowledge.group_count());
     for request in &requests_100k {
         rows_100k.push(&request.observation, request.estimate);
     }
-    group.bench_function("score_batch_into_100k", |b| {
-        let mut out = Vec::new();
-        b.iter(|| {
-            engine.score_batch_into(black_box(&requests_100k), &mut out);
-            out.len()
-        })
-    });
     group.bench_function("score_rows_into_100k", |b| {
         let mut out = Vec::new();
         b.iter(|| {

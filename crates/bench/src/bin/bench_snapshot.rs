@@ -1,14 +1,14 @@
 //! `bench_snapshot` — the perf-trajectory snapshot binary.
 //!
 //! Runs the headline microbenches in quick mode — the fused scoring
-//! kernel (dense vs scalar-sparse vs SoA-sparse vs memoized, paper scale
+//! kernel (dense vs sparse vs memoized, paper scale
 //! and a 4× same-density deployment), sustained serve throughput over a
 //! cores-aware shard curve with the µ cache on and off, the
 //! response-hook idle overhead (with an asserted bound), the telemetry
 //! overhead (serve throughput with stage timing *plus* the windowed
 //! series ring *plus* the drift monitor on vs everything off, with an
 //! asserted bound), and the end-to-end wire path (TCP loopback through
-//! `lad_wire`, full and degraded fidelity, plus the shed fraction under
+//! `lad_wire`, plus the shed fraction under
 //! a 2× overload, with per-stage latency percentiles from the runtime's
 //! telemetry) — and writes the numbers to a `BENCH_<pr>.json` at the
 //! repo root, so every PR leaves a comparable perf record behind.
@@ -26,9 +26,7 @@
 
 use lad_core::engine::LadEngine;
 use lad_core::expected::rounded_expected;
-use lad_core::metrics::{
-    score_all_fused, score_all_fused_sparse, score_all_fused_sparse_soa, FusedSoaScratch,
-};
+use lad_core::metrics::{score_all_fused, score_all_fused_sparse_soa, FusedSoaScratch};
 use lad_core::{ExpectedObservation, MetricKind};
 use lad_deployment::{DeploymentConfig, DeploymentKnowledge, MuCache, SparseMu};
 use lad_geometry::Point2;
@@ -42,8 +40,8 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One kernel measurement: the dense path vs the sparse scalar pass vs the
-/// SoA pass vs the memoized (cache-hit) SoA pass, all bit-identical.
+/// One kernel measurement: the dense path vs the sparse (SoA) pass vs the
+/// memoized (cache-hit) sparse pass, all bit-identical.
 #[derive(Debug, Serialize)]
 struct KernelScale {
     /// Number of deployment groups `n`.
@@ -52,19 +50,16 @@ struct KernelScale {
     support: usize,
     /// Full per-request dense path: µ fill + fused scan, ns.
     dense_ns_per_score: f64,
-    /// Full per-request sparse path: support fill + scalar fused scan, ns.
-    sparse_ns_per_score: f64,
-    /// Support fill + SoA fused scan (single merge, 4-wide pmf lanes), ns.
+    /// Full per-request sparse path: support fill + SoA fused scan (single
+    /// merge, 4-wide pmf lanes), ns.
     soa_ns_per_score: f64,
-    /// Cache-hit µ lookup + SoA fused scan — the serve hot path on a
+    /// Cache-hit µ lookup + SoA fused scan — the memoized path on a
     /// repeated estimate, ns.
     cached_soa_ns_per_score: f64,
-    /// dense / sparse (the PR-4 headline, kept comparable).
+    /// dense / sparse.
     speedup: f64,
-    /// scalar sparse / SoA (fill included in both).
-    soa_vs_scalar: f64,
-    /// scalar sparse / cached SoA (what memoization buys on a hit).
-    cached_vs_scalar: f64,
+    /// sparse / cached (what memoization buys on a hit).
+    cached_speedup: f64,
 }
 
 /// Sustained serve throughput at one shard count.
@@ -119,11 +114,8 @@ struct TelemetryOverhead {
 /// baseline.
 #[derive(Debug, Serialize)]
 struct WireRate {
-    /// Full-fidelity wire path (all metrics scored), reports/s.
+    /// Wire path, reports/s.
     reports_per_sec: f64,
-    /// Degraded wire path (decision metric only, forced via a
-    /// degrade-depth-0 policy), reports/s.
-    degraded_reports_per_sec: f64,
     /// Single-shard in-process `submit_rows` baseline on the identical
     /// workload, reports/s.
     in_process_reports_per_sec: f64,
@@ -157,7 +149,7 @@ struct Snapshot {
     serve_telemetry: TelemetryOverhead,
     wire: WireRate,
     /// Per-stage latency summaries (count, mean, min/max, p50/p95/p99 in
-    /// nanoseconds) folded from the full-fidelity wire run — the only
+    /// nanoseconds) folded from the unthrottled wire run — the only
     /// measurement here that exercises the whole pipeline (decode → gate
     /// → queue → score → detector → drain) end to end.
     wire_stage_latency: Vec<StageSummary>,
@@ -220,10 +212,6 @@ fn kernel_scale(effort: Effort, cfg: &DeploymentConfig, at: Point2, obs_at: Poin
         dense.fill(&knowledge, black_box(at));
         score_all_fused(black_box(&obs), dense.mu(), cfg.group_size)[0]
     });
-    let sparse_ns = time_ns(effort, || {
-        knowledge.expected_sparse_into(black_box(at), &mut smu);
-        score_all_fused_sparse(black_box(batch.row(0)), &smu)[0]
-    });
     let mut soa = FusedSoaScratch::new();
     let soa_ns = time_ns(effort, || {
         knowledge.expected_sparse_into(black_box(at), &mut smu);
@@ -240,12 +228,10 @@ fn kernel_scale(effort: Effort, cfg: &DeploymentConfig, at: Point2, obs_at: Poin
         groups: knowledge.group_count(),
         support,
         dense_ns_per_score: dense_ns,
-        sparse_ns_per_score: sparse_ns,
         soa_ns_per_score: soa_ns,
         cached_soa_ns_per_score: cached_ns,
-        speedup: dense_ns / sparse_ns,
-        soa_vs_scalar: sparse_ns / soa_ns,
-        cached_vs_scalar: sparse_ns / cached_ns,
+        speedup: dense_ns / soa_ns,
+        cached_speedup: soa_ns / cached_ns,
     }
 }
 
@@ -439,7 +425,7 @@ fn wire_run(policy: OverloadPolicy, passes: u64) -> (f64, u64, u64, Vec<StageSum
     }
     while client.in_flight() > 0 {
         let receipt = client.recv_delivery().expect("receipt arrives");
-        if let DeliveryStatus::Accepted { .. } = receipt.status {
+        if receipt.status == DeliveryStatus::Accepted {
             accepted += receipt.rows as u64;
         }
     }
@@ -484,8 +470,8 @@ fn metrics_of(snap: &Snapshot) -> Vec<Metric> {
             false,
         ),
         Metric::new(
-            "kernel_paper_scale.sparse_ns_per_score",
-            snap.kernel_paper_scale.sparse_ns_per_score,
+            "kernel_paper_scale.soa_ns_per_score",
+            snap.kernel_paper_scale.soa_ns_per_score,
             false,
         ),
         Metric::new(
@@ -494,8 +480,8 @@ fn metrics_of(snap: &Snapshot) -> Vec<Metric> {
             false,
         ),
         Metric::new(
-            "kernel_4x_scale.sparse_ns_per_score",
-            snap.kernel_4x_scale.sparse_ns_per_score,
+            "kernel_4x_scale.soa_ns_per_score",
+            snap.kernel_4x_scale.soa_ns_per_score,
             false,
         ),
         Metric::new(
@@ -509,11 +495,6 @@ fn metrics_of(snap: &Snapshot) -> Vec<Metric> {
             false,
         ),
         Metric::new("wire.reports_per_sec", snap.wire.reports_per_sec, true),
-        Metric::new(
-            "wire.degraded_reports_per_sec",
-            snap.wire.degraded_reports_per_sec,
-            true,
-        ),
     ];
     for rate in &snap.serve {
         // One entry per shard count; the old snapshot is matched by count.
@@ -690,10 +671,6 @@ fn main() {
     // Longer windows than the in-process runs: the wire path shares the
     // core with its client, so short windows are scheduler-noise-bound.
     let (wire_rps, _, _, wire_stages) = wire_run(OverloadPolicy::default(), effort.wire_passes);
-    let (degraded_rps, _, _, _) = wire_run(
-        OverloadPolicy::default().with_degrade_depth(0),
-        effort.wire_passes,
-    );
     // Offer at full client speed against a budget of half the measured
     // wire capacity: a ≥2× saturation by construction.
     let burst = serve_workload().reports_per_pass as f64;
@@ -704,7 +681,6 @@ fn main() {
     let in_process = serve[0].reports_per_sec;
     let wire = WireRate {
         reports_per_sec: wire_rps,
-        degraded_reports_per_sec: degraded_rps,
         in_process_reports_per_sec: in_process,
         wire_vs_in_process: wire_rps / in_process,
         shed_fraction_at_2x_overload: (overload_offered - overload_accepted) as f64

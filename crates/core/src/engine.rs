@@ -1,28 +1,29 @@
 //! `LadEngine` — the batched, pluggable, versioned detection engine.
 //!
-//! This is the front door for location verification. Where the deprecated
-//! [`LadPipeline`](crate::pipeline::LadPipeline) scored one `(observation,
-//! estimate)` pair against one hard-wired metric per call, the engine is
-//! built for serving volume:
+//! This is the front door for location verification, built for serving
+//! volume:
 //!
-//! * **Batch-first** — [`LadEngine::verify_batch`] and
-//!   [`LadEngine::score_batch`] take a slice of [`DetectionRequest`]s and
-//!   fan the work out over Rayon. Results come back in request order, so
-//!   output is deterministic regardless of thread scheduling.
-//! * **One µ per estimate** — the expected observation `µ(L_e)` is computed
-//!   once per request into a per-thread scratch
-//!   [`ExpectedObservation`] buffer (no per-call allocation after warm-up)
-//!   and shared by *all* configured metrics through
-//!   [`DetectionMetric::score_from_expected`]. With the paper's three metrics
-//!   configured that alone removes two thirds of the hot-path work.
+//! * **One CSR-row kernel per job** — every scoring path runs over flat
+//!   [`ObservationBatch`] rows. [`LadEngine::score_rows_into`] is the
+//!   parallel all-metrics kernel (evaluation, calibration);
+//!   [`LadEngine::score_rows_seq_one_into`] and its siblings are the
+//!   sequential kernel a serve shard runs, with an optional [`MuCache`].
+//!   [`LadEngine::verify_batch`], [`LadEngine::score_batch`] and their
+//!   single-request forms are thin adapters that pack
+//!   [`DetectionRequest`]s into CSR rows. Results come back in request
+//!   order, so output is deterministic regardless of thread scheduling.
+//! * **One µ per estimate** — the expected observation `µ(L_e)` is filled
+//!   once per row over its O(k) support into a per-thread scratch (no
+//!   per-call allocation after warm-up) and shared by *all* configured
+//!   metrics in one fused pass.
 //! * **Pluggable** — any number of [`MetricKind`]s, any
 //!   [`LocalizationScheme`] as a trait object, thresholds from τ-percentile
 //!   training or supplied explicitly.
 //! * **Versioned artifacts** — [`LadEngine::to_json`] emits an
 //!   [`EngineArtifact`] with an explicit `version` field;
 //!   [`LadEngine::from_json`] rejects unknown versions with the typed
-//!   [`EngineError::UnsupportedVersion`] instead of a generic parse error,
-//!   and transparently migrates legacy `LadPipeline` JSON.
+//!   [`EngineError::UnsupportedVersion`] and anything without a `version`
+//!   field with [`EngineError::Parse`].
 //!
 //! ```
 //! use lad_core::engine::{DetectionRequest, LadEngine};
@@ -48,8 +49,7 @@
 //! ```
 
 use crate::detector::{LadDetector, Verdict};
-use crate::expected::ExpectedObservation;
-use crate::metrics::{DetectionMetric, FusedSoaScratch, MetricKind};
+use crate::metrics::{score_all_fused_sparse_soa, DetectionMetric, FusedSoaScratch, MetricKind};
 use crate::threshold::TrainedThresholds;
 use crate::training::{Trainer, TrainingConfig};
 use lad_deployment::{DeploymentConfig, DeploymentKnowledge, MuCache, SparseMu};
@@ -323,24 +323,24 @@ impl LadEngineBuilder {
     }
 }
 
-/// Per-thread reusable scoring buffers: the sparse µ fill target, the dense
-/// expected-observation buffer backing the non-fused legacy path, and the
-/// SoA lanes of the fused kernels.
+/// Per-thread reusable scoring buffers: the sparse µ fill target and the
+/// SoA lanes of the fused kernel.
 #[derive(Default)]
 struct EngineScratch {
-    /// Sparse µ fill target (every scoring path fills it per estimate).
+    /// Sparse µ fill target (the uncached paths fill it per estimate).
     smu: SparseMu,
-    /// Dense µ buffer; only backs the non-fused legacy path.
-    dense: ExpectedObservation,
-    /// Structure-of-arrays lanes for the fused SoA kernels.
+    /// Structure-of-arrays lanes for the fused SoA kernel.
     soa: FusedSoaScratch,
 }
 
 thread_local! {
-    /// Per-thread µ scratch: `verify_batch`/`score_batch` fill this once per
-    /// request and hand it to every metric, so the hot path performs no
-    /// allocation after each worker thread's first request.
+    /// Per-thread µ scratch: the row kernel borrows it once per call, so
+    /// the hot path performs no allocation after each worker thread's
+    /// first batch.
     static MU_SCRATCH: RefCell<EngineScratch> = RefCell::new(EngineScratch::default());
+
+    /// Per-thread CSR rows the `DetectionRequest` adapters pack into.
+    static PACKED_ROWS: RefCell<ObservationBatch> = RefCell::new(ObservationBatch::default());
 }
 
 /// The batched, pluggable, versioned LAD detection engine.
@@ -457,14 +457,17 @@ impl LadEngine {
         let idx = self
             .metric_index(metric)
             .unwrap_or_else(|| panic!("metric {} is not configured", metric.name()));
-        assert!(
-            !self.artifact.thresholds.is_empty(),
-            "score-only engine has no thresholds; build with tau() or thresholds()"
-        );
+        self.assert_thresholds();
         LadDetector::new(metric, self.artifact.thresholds[idx])
     }
 
     // ---- the hot path ------------------------------------------------------
+    //
+    // Two kernels, one per job. `score_rows_range` is the sequential
+    // CSR-row kernel: every configured metric or only one, µ filled fresh
+    // or memoized through a `MuCache`. `score_rows_into` is the parallel
+    // all-metrics kernel: the same rows fanned out over worker threads.
+    // Every other scoring entry point is a thin adapter over one of them.
 
     /// Validates a batch's observation lengths once, at the boundary, so
     /// the per-score kernels can run on `debug_assert!`s only.
@@ -485,95 +488,70 @@ impl LadEngine {
         }
     }
 
-    /// Computes the verdict for one request against a caller-supplied µ
-    /// scratch buffer (filled in place — no allocation besides the output).
-    fn verdict_with(
-        &self,
-        scratch: &mut EngineScratch,
-        observation: &Observation,
-        estimate: Point2,
-    ) -> MultiVerdict {
-        let mut verdicts = Vec::with_capacity(self.scorers.len());
-        let mut anomalous = false;
-        if self.fused {
-            // Sparse fused kernel: fill the O(k) µ support once, then score
-            // all three metrics in a single merged pass over the support and
-            // the observation's nonzeros (bit-identical to the dense pass).
-            let smu = &mut scratch.smu;
-            self.knowledge.expected_sparse_into(estimate, smu);
-            let scores =
-                crate::metrics::score_all_fused_sparse_obs_soa(observation, smu, &mut scratch.soa);
-            for (i, (&score, &threshold)) in
-                scores.iter().zip(&self.artifact.thresholds).enumerate()
-            {
-                let alarm = score > threshold;
-                anomalous |= alarm;
-                verdicts.push(Verdict {
-                    metric: MetricKind::ALL[i],
-                    score,
-                    threshold,
-                    anomalous: alarm,
-                });
-            }
-        } else {
-            let expected = &mut scratch.dense;
-            expected.fill(&self.knowledge, estimate);
-            for (scorer, &threshold) in self.scorers.iter().zip(&self.artifact.thresholds) {
-                let score = scorer.score_from_expected(expected, observation);
-                let alarm = score > threshold;
-                anomalous |= alarm;
-                verdicts.push(Verdict {
-                    metric: scorer.kind(),
-                    score,
-                    threshold,
-                    anomalous: alarm,
-                });
-            }
-        }
+    /// Panics on a score-only engine (no thresholds to verify against).
+    fn assert_thresholds(&self) {
+        assert!(
+            !self.artifact.thresholds.is_empty(),
+            "score-only engine has no thresholds; build with tau() or thresholds()"
+        );
+    }
+
+    /// Thresholds one request's per-metric `scores` into its verdict.
+    fn verdict(&self, estimate: Point2, scores: &[f64]) -> MultiVerdict {
+        let verdicts: Vec<Verdict> = self
+            .artifact
+            .metrics
+            .iter()
+            .zip(scores)
+            .zip(&self.artifact.thresholds)
+            .map(|((&metric, &score), &threshold)| Verdict {
+                metric,
+                score,
+                threshold,
+                anomalous: score > threshold,
+            })
+            .collect();
         MultiVerdict {
             estimate,
+            anomalous: verdicts.iter().any(|v| v.anomalous),
             verdicts,
-            anomalous,
         }
     }
 
-    /// Computes the per-metric scores for one request against a
-    /// caller-supplied µ scratch buffer, writing them into `out` (one slot
-    /// per configured metric) — the allocation-free core of every scoring
-    /// path.
-    fn scores_with_into(
+    /// Packs `(observation, estimate)` pairs into this thread's CSR scratch
+    /// batch and scores them with every configured metric into `out`
+    /// (`metrics().len()` scores per pair). A packed row holds only the
+    /// observation's nonzeros, so the scores equal the CSR entry points'
+    /// bit for bit.
+    fn score_packed<'a>(
         &self,
-        scratch: &mut EngineScratch,
-        observation: &Observation,
-        estimate: Point2,
+        pairs: impl IntoIterator<Item = (&'a Observation, Point2)>,
         out: &mut [f64],
     ) {
-        debug_assert_eq!(out.len(), self.scorers.len());
-        if self.fused {
-            let smu = &mut scratch.smu;
-            self.knowledge.expected_sparse_into(estimate, smu);
-            let scores =
-                crate::metrics::score_all_fused_sparse_obs_soa(observation, smu, &mut scratch.soa);
-            out.copy_from_slice(&scores);
-        } else {
-            let expected = &mut scratch.dense;
-            expected.fill(&self.knowledge, estimate);
-            for (slot, scorer) in out.iter_mut().zip(&self.scorers) {
-                *slot = scorer.score_from_expected(expected, observation);
+        PACKED_ROWS.with(|cell| {
+            let rows = &mut *cell.borrow_mut();
+            rows.reset(self.knowledge.group_count());
+            for (observation, estimate) in pairs {
+                rows.push(observation, estimate);
             }
-        }
+            self.score_rows_range(rows, 0..rows.len(), None, None, out);
+        });
     }
 
-    /// Computes the per-metric scores for one request against a
-    /// caller-supplied µ scratch buffer.
-    fn scores_with(
-        &self,
-        scratch: &mut EngineScratch,
-        observation: &Observation,
-        estimate: Point2,
-    ) -> Vec<f64> {
-        let mut out = vec![0.0; self.scorers.len()];
-        self.scores_with_into(scratch, observation, estimate, &mut out);
+    /// Scores `requests` with every configured metric over the parallel
+    /// kernel: row-major, `metrics().len()` scores per request.
+    fn score_requests(&self, requests: &[DetectionRequest]) -> Vec<f64> {
+        self.validate_requests(requests);
+        let mut out = Vec::new();
+        Self::par_fill_rows(
+            requests.len(),
+            self.scorers.len(),
+            &mut out,
+            |range, rows| {
+                let pairs = requests[range].iter().map(|r| (&r.observation, r.estimate));
+                self.score_packed(pairs, rows);
+            },
+        );
         out
     }
 
@@ -583,42 +561,20 @@ impl LadEngine {
     /// # Panics
     /// Panics on a score-only engine (no thresholds to compare against).
     pub fn verify(&self, observation: &Observation, estimate: Point2) -> MultiVerdict {
-        assert!(
-            !self.artifact.thresholds.is_empty(),
-            "score-only engine has no thresholds; build with tau() or thresholds()"
-        );
-        assert_eq!(
-            observation.group_count(),
-            self.knowledge.group_count(),
-            "observation/deployment group-count mismatch"
-        );
-        MU_SCRATCH.with(|cell| self.verdict_with(&mut cell.borrow_mut(), observation, estimate))
+        self.assert_thresholds();
+        self.verdict(estimate, &self.score(observation, estimate))
     }
 
-    /// Verifies a batch of requests in parallel (chunks sized by an internal
-    /// per-core heuristic fan out over worker threads; each chunk
-    /// borrows its thread's µ scratch once). Results are returned in request
-    /// order, so output is deterministic regardless of scheduling.
+    /// Verifies a batch of requests in parallel. Results are returned in
+    /// request order, so output is deterministic regardless of scheduling.
     pub fn verify_batch(&self, requests: &[DetectionRequest]) -> Vec<MultiVerdict> {
-        assert!(
-            !self.artifact.thresholds.is_empty(),
-            "score-only engine has no thresholds; build with tau() or thresholds()"
-        );
-        self.validate_requests(requests);
-        let chunks: Vec<&[DetectionRequest]> = requests
-            .chunks(Self::batch_chunk_size(requests.len()))
-            .collect();
-        chunks
-            .par_iter()
-            .flat_map(|chunk| {
-                MU_SCRATCH.with(|cell| {
-                    let expected = &mut *cell.borrow_mut();
-                    chunk
-                        .iter()
-                        .map(|r| self.verdict_with(expected, &r.observation, r.estimate))
-                        .collect::<Vec<_>>()
-                })
-            })
+        self.assert_thresholds();
+        let scores = self.score_requests(requests);
+        let width = self.scorers.len();
+        requests
+            .iter()
+            .enumerate()
+            .map(|(i, r)| self.verdict(r.estimate, &scores[i * width..(i + 1) * width]))
             .collect()
     }
 
@@ -631,46 +587,20 @@ impl LadEngine {
             self.knowledge.group_count(),
             "observation/deployment group-count mismatch"
         );
-        MU_SCRATCH.with(|cell| self.scores_with(&mut cell.borrow_mut(), observation, estimate))
+        let mut out = vec![0.0; self.scorers.len()];
+        self.score_packed([(observation, estimate)], &mut out);
+        out
     }
 
     /// Raw anomaly scores for a batch of requests, in request order. This is
     /// the entry point for ROC sweeps: collect scores once, then sweep
     /// thresholds offline.
     pub fn score_batch(&self, requests: &[DetectionRequest]) -> Vec<Vec<f64>> {
-        self.validate_requests(requests);
-        let chunks: Vec<&[DetectionRequest]> = requests
-            .chunks(Self::batch_chunk_size(requests.len()))
-            .collect();
-        chunks
-            .par_iter()
-            .flat_map(|chunk| {
-                MU_SCRATCH.with(|cell| {
-                    let expected = &mut *cell.borrow_mut();
-                    chunk
-                        .iter()
-                        .map(|r| self.scores_with(expected, &r.observation, r.estimate))
-                        .collect::<Vec<_>>()
-                })
-            })
+        let scores = self.score_requests(requests);
+        let width = self.scorers.len();
+        (0..requests.len())
+            .map(|i| scores[i * width..(i + 1) * width].to_vec())
             .collect()
-    }
-
-    /// Raw anomaly scores for a batch of requests, written into a flat
-    /// caller-owned buffer: row-major, `self.metrics().len()` scores per
-    /// request, in request order. The buffer is cleared and resized to
-    /// exactly `requests.len() * metrics.len()`.
-    ///
-    /// This is the zero-garbage sibling of [`Self::score_batch`]: where
-    /// `score_batch` allocates an inner `Vec<f64>` per request (a hot-path
-    /// cost when a serving loop scores millions of requests per second),
-    /// this writes every score into one flat allocation the caller reuses
-    /// across batches. The work fans out over the same chunked Rayon pool,
-    /// each worker writing its chunk's disjoint output range in place.
-    pub fn score_batch_into(&self, requests: &[DetectionRequest], out: &mut Vec<f64>) {
-        Self::par_fill_rows(requests.len(), self.scorers.len(), out, |range, rows| {
-            self.score_seq_into(&requests[range], rows)
-        });
     }
 
     /// The shared parallel fan-out of the flat scoring entry points: sizes
@@ -691,7 +621,13 @@ impl LadEngine {
 
         /// Raw output base pointer, shareable across the worker threads.
         struct OutBase(*mut f64);
+        // SAFETY: the one field points into `out`, which outlives the
+        // parallel loop below; workers only derive pairwise-disjoint
+        // `&mut [f64]` ranges from it (see the SAFETY note at the use),
+        // and `f64` is itself `Send + Sync`.
         unsafe impl Send for OutBase {}
+        // SAFETY: as for `Send` — sharing `&OutBase` only hands out the
+        // pointer, never aliasing writes.
         unsafe impl Sync for OutBase {}
         let base = OutBase(out.as_mut_ptr());
         let base = &base;
@@ -711,47 +647,18 @@ impl LadEngine {
         });
     }
 
-    /// Scores `requests` sequentially on the calling thread into `out`
-    /// (row-major, `self.metrics().len()` scores per request; `out` must be
-    /// exactly `requests.len() * metrics.len()` long).
-    ///
-    /// This is the building block of [`Self::score_batch_into`] and the
-    /// scoring path a `lad_serve` shard runs on its own partition of a
-    /// batch: no allocation beyond the thread's µ scratch, no nested
-    /// thread pool underneath a shard thread.
-    ///
-    /// # Panics
-    /// Panics when `out.len() != requests.len() * self.metrics().len()`.
-    pub fn score_seq_into(&self, requests: &[DetectionRequest], out: &mut [f64]) {
-        let width = self.scorers.len();
-        assert_eq!(
-            out.len(),
-            requests.len() * width,
-            "output buffer must hold {} scores per request",
-            width
-        );
-        self.validate_requests(requests);
-        MU_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            for (req, row) in requests.iter().zip(out.chunks_exact_mut(width)) {
-                self.scores_with_into(scratch, &req.observation, req.estimate, row);
-            }
-        });
-    }
-
-    /// Raw anomaly scores for a CSR observation batch, written into a flat
-    /// caller-owned buffer: row-major, `self.metrics().len()` scores per
-    /// row, in row order. The buffer is cleared and resized to exactly
+    /// The parallel all-metrics kernel: raw anomaly scores for a CSR
+    /// observation batch, written into a flat caller-owned buffer —
+    /// row-major, `self.metrics().len()` scores per row, in row order. The
+    /// buffer is cleared and resized to exactly
     /// `batch.len() * metrics.len()`.
     ///
-    /// This is the fully sparse sibling of [`Self::score_batch_into`]:
-    /// the batch stores only observation nonzeros (no per-report
+    /// The batch stores only observation nonzeros (no per-report
     /// `Observation` heap objects), the expected observation is enumerated
     /// over its O(k) support, and the fused kernel merges the two sparse
-    /// sides directly. Scores are bit-identical to the dense entry points.
-    /// The work fans out over the same chunked Rayon pool as
-    /// [`Self::score_batch_into`], each worker writing its chunk's disjoint
-    /// output range in place.
+    /// sides directly. The work fans out over a chunked Rayon pool, each
+    /// worker writing its chunk's disjoint output range in place. This is
+    /// what evaluation and calibration run.
     ///
     /// # Panics
     /// Panics when the batch's group count differs from the engine's
@@ -759,130 +666,112 @@ impl LadEngine {
     /// [`ObservationBatch::push`] time).
     pub fn score_rows_into(&self, batch: &ObservationBatch, out: &mut Vec<f64>) {
         Self::par_fill_rows(batch.len(), self.scorers.len(), out, |range, rows| {
-            self.score_rows_range_into(batch, range, rows)
+            self.score_rows_range(batch, range, None, None, rows)
         });
     }
 
-    /// Scores rows `lo..hi` of `batch` sequentially on the calling thread
-    /// into `out` (row-major; `out` must be exactly
-    /// `(hi - lo) * metrics.len()` long). The whole-batch form
-    /// [`Self::score_rows_seq_into`] is what a `lad_serve` shard runs on
-    /// its partition.
-    fn score_rows_range_into(
+    /// The sequential CSR-row kernel behind every scoring entry point:
+    /// scores rows `range` of `batch` on the calling thread into `out`.
+    ///
+    /// With `metric == None` every configured metric is scored
+    /// (`metrics().len()` scores per row; the fused SoA kernel when the
+    /// metrics are exactly [`MetricKind::ALL`]); with `Some(metric)` only
+    /// that metric's sparse kernel runs (one score per row). The column
+    /// values are bit-identical either way (asserted in
+    /// `tests/sparse_exactness.rs`). With a `cache`, µ is memoized through
+    /// it — a hit returns the `SparseMu` that `expected_sparse_into`
+    /// produced for the same exact estimate bits (see [`MuCache`]), so
+    /// scores are bit-identical with or without it.
+    ///
+    /// # Panics
+    /// Panics when `metric` is not configured, when `out` does not hold
+    /// exactly `range.len()` rows of scores, or when the batch's group
+    /// count differs from the engine's deployment.
+    fn score_rows_range(
         &self,
         batch: &ObservationBatch,
         range: std::ops::Range<usize>,
+        metric: Option<MetricKind>,
+        mut cache: Option<&mut MuCache>,
         out: &mut [f64],
     ) {
-        let width = self.scorers.len();
         assert_eq!(
             batch.group_count(),
             self.knowledge.group_count(),
             "batch/deployment group-count mismatch"
         );
+        let one = metric.map(|metric| {
+            self.metric_index(metric)
+                .unwrap_or_else(|| panic!("metric {} not configured on this engine", metric.name()))
+        });
+        let width = if one.is_some() { 1 } else { self.scorers.len() };
         assert_eq!(
             out.len(),
             range.len() * width,
             "output buffer must hold {width} scores per row"
         );
         MU_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let EngineScratch { smu, soa, .. } = scratch;
-            for (r, row_out) in range.zip(out.chunks_exact_mut(width)) {
-                self.knowledge.expected_sparse_into(batch.estimate(r), smu);
+            let EngineScratch { smu, soa } = &mut *cell.borrow_mut();
+            // `max(1)`: an engine restored with no metrics scores nothing,
+            // and `chunks_exact_mut(0)` would panic.
+            for (r, row_out) in range.zip(out.chunks_exact_mut(width.max(1))) {
+                let mu = match cache.as_deref_mut() {
+                    Some(cache) => self
+                        .knowledge
+                        .expected_sparse_cached(batch.estimate(r), cache),
+                    None => {
+                        self.knowledge.expected_sparse_into(batch.estimate(r), smu);
+                        &*smu
+                    }
+                };
                 let row = batch.row(r);
-                if self.fused {
-                    let scores = crate::metrics::score_all_fused_sparse_soa(row, smu, soa);
-                    row_out.copy_from_slice(&scores);
-                } else {
-                    for (slot, scorer) in row_out.iter_mut().zip(&self.scorers) {
-                        *slot = scorer.score_sparse(row, smu);
+                match one {
+                    Some(i) => row_out[0] = self.scorers[i].score_sparse(row, mu),
+                    None if self.fused => {
+                        row_out.copy_from_slice(&score_all_fused_sparse_soa(row, mu, soa))
+                    }
+                    None => {
+                        for (slot, scorer) in row_out.iter_mut().zip(&self.scorers) {
+                            *slot = scorer.score_sparse(row, mu);
+                        }
                     }
                 }
             }
         });
     }
 
-    /// Scores a CSR batch sequentially on the calling thread into `out`
-    /// (row-major, `self.metrics().len()` scores per row; `out` must be
-    /// exactly `batch.len() * metrics.len()` long).
-    ///
-    /// This is the allocation-free kernel a `lad_serve` shard runs on its
-    /// own partition of a round: no per-report heap objects in, one flat
-    /// score buffer out, no nested thread pool underneath a shard thread.
+    /// Scores a CSR batch with every configured metric, sequentially on
+    /// the calling thread, into `out` (row-major, `self.metrics().len()`
+    /// scores per row; `out` must be exactly `batch.len() * metrics.len()`
+    /// long).
     ///
     /// # Panics
-    /// Panics when `out.len() != batch.len() * self.metrics().len()` or the
-    /// batch's group count differs from the engine's deployment.
+    /// Panics when `out` has the wrong length or the batch's group count
+    /// differs from the engine's deployment.
     pub fn score_rows_seq_into(&self, batch: &ObservationBatch, out: &mut [f64]) {
-        self.score_rows_range_into(batch, 0..batch.len(), out);
+        self.score_rows_range(batch, 0..batch.len(), None, None, out);
     }
 
     /// [`Self::score_rows_seq_into`] with the µ fill memoized through a
-    /// caller-owned [`MuCache`]: repeated estimates skip the
-    /// `SupportIndex` walk and the g(z)-table evaluations entirely and
-    /// score straight off the cached support.
-    ///
-    /// Scores are **bit-identical** to the uncached call — a cache hit
-    /// returns the `SparseMu` that `expected_sparse_into` produced for the
-    /// same exact estimate bits (see [`MuCache`]) — so callers choose
-    /// between the two on cost alone. The cache must be dedicated to this
-    /// engine's deployment; `lad_serve` shards own one per shard next to
-    /// their engine clone.
+    /// caller-owned [`MuCache`] dedicated to this engine's deployment.
+    /// Scores are bit-identical to the uncached call.
     ///
     /// # Panics
-    /// Panics when `out.len() != batch.len() * self.metrics().len()` or the
-    /// batch's group count differs from the engine's deployment.
+    /// As [`Self::score_rows_seq_into`].
     pub fn score_rows_seq_cached_into(
         &self,
         batch: &ObservationBatch,
         cache: &mut MuCache,
         out: &mut [f64],
     ) {
-        let width = self.scorers.len();
-        assert_eq!(
-            batch.group_count(),
-            self.knowledge.group_count(),
-            "batch/deployment group-count mismatch"
-        );
-        assert_eq!(
-            out.len(),
-            batch.len() * width,
-            "output buffer must hold {width} scores per row"
-        );
-        MU_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let soa = &mut scratch.soa;
-            for (r, row_out) in (0..batch.len()).zip(out.chunks_exact_mut(width)) {
-                let smu = self
-                    .knowledge
-                    .expected_sparse_cached(batch.estimate(r), cache);
-                let row = batch.row(r);
-                if self.fused {
-                    let scores = crate::metrics::score_all_fused_sparse_soa(row, smu, soa);
-                    row_out.copy_from_slice(&scores);
-                } else {
-                    for (slot, scorer) in row_out.iter_mut().zip(&self.scorers) {
-                        *slot = scorer.score_sparse(row, smu);
-                    }
-                }
-            }
-        });
+        self.score_rows_range(batch, 0..batch.len(), None, Some(cache), out);
     }
 
-    /// Scores a CSR batch sequentially with **one** configured metric — one
-    /// score per row into `out` — via that metric's sparse kernel.
-    ///
-    /// This is the *degraded* serving kernel behind `lad_serve`'s load-shed
-    /// mode: under overload a shard stops paying for the full
-    /// all-metrics fused pass and keeps only the column its sequential
-    /// decision consumes. The value is **bit-identical** to the same
-    /// metric's column of [`Self::score_rows_seq_into`] (the fused kernel
-    /// is bit-identical to the per-metric kernels by construction, asserted
-    /// in `tests/sparse_exactness.rs`), so degrading changes *cost*, never
-    /// *decisions*. For [`MetricKind::Diff`] / [`MetricKind::AddAll`] the
-    /// kernel touches no pmf table at all — the cheap half of the fused
-    /// filter — which is where the degraded mode's headroom comes from.
+    /// Scores a CSR batch with **one** configured metric — one score per
+    /// row into `out` — sequentially on the calling thread. The value is
+    /// bit-identical to that metric's column of
+    /// [`Self::score_rows_seq_into`]. This is what a `lad_serve` shard
+    /// runs: its sequential rule reads only the decision metric.
     ///
     /// # Panics
     /// Panics when `metric` is not configured on this engine, when
@@ -894,39 +783,15 @@ impl LadEngine {
         metric: MetricKind,
         out: &mut [f64],
     ) {
-        let idx = self
-            .metric_index(metric)
-            .unwrap_or_else(|| panic!("metric {} not configured on this engine", metric.name()));
-        assert_eq!(
-            batch.group_count(),
-            self.knowledge.group_count(),
-            "batch/deployment group-count mismatch"
-        );
-        assert_eq!(
-            out.len(),
-            batch.len(),
-            "output buffer must hold one score per row"
-        );
-        let scorer = &self.scorers[idx];
-        MU_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let smu = &mut scratch.smu;
-            for (r, slot) in out.iter_mut().enumerate() {
-                self.knowledge.expected_sparse_into(batch.estimate(r), smu);
-                *slot = scorer.score_sparse(batch.row(r), smu);
-            }
-        });
+        self.score_rows_range(batch, 0..batch.len(), Some(metric), None, out);
     }
 
     /// [`Self::score_rows_seq_one_into`] with the µ fill memoized through a
-    /// caller-owned [`MuCache`] — the degraded serving kernel with the same
-    /// cached-µ fast path (and the same bit-exactness argument) as
-    /// [`Self::score_rows_seq_cached_into`].
+    /// caller-owned [`MuCache`]. Scores are bit-identical to the uncached
+    /// call.
     ///
     /// # Panics
-    /// Panics when `metric` is not configured on this engine, when
-    /// `out.len() != batch.len()`, or when the batch's group count differs
-    /// from the engine's deployment.
+    /// As [`Self::score_rows_seq_one_into`].
     pub fn score_rows_seq_one_cached_into(
         &self,
         batch: &ObservationBatch,
@@ -934,26 +799,7 @@ impl LadEngine {
         cache: &mut MuCache,
         out: &mut [f64],
     ) {
-        let idx = self
-            .metric_index(metric)
-            .unwrap_or_else(|| panic!("metric {} not configured on this engine", metric.name()));
-        assert_eq!(
-            batch.group_count(),
-            self.knowledge.group_count(),
-            "batch/deployment group-count mismatch"
-        );
-        assert_eq!(
-            out.len(),
-            batch.len(),
-            "output buffer must hold one score per row"
-        );
-        let scorer = &self.scorers[idx];
-        for (r, slot) in out.iter_mut().enumerate() {
-            let smu = self
-                .knowledge
-                .expected_sparse_cached(batch.estimate(r), cache);
-            *slot = scorer.score_sparse(batch.row(r), smu);
-        }
+        self.score_rows_range(batch, 0..batch.len(), Some(metric), Some(cache), out);
     }
 
     /// Upper bound on the number of requests each worker-thread chunk
@@ -1011,63 +857,24 @@ impl LadEngine {
     /// Restores an engine from [`Self::to_json`] output, rebuilding the
     /// deployment knowledge (g(z) table included) from the stored config.
     ///
-    /// Accepts two formats:
-    ///
-    /// * a versioned [`EngineArtifact`] — versions other than
-    ///   [`ARTIFACT_VERSION`] are rejected with
-    ///   [`EngineError::UnsupportedVersion`];
-    /// * legacy (pre-engine) `LadPipeline` JSON, recognised by its `metric`
-    ///   field and absence of `version`, which is migrated in place.
+    /// Versions other than [`ARTIFACT_VERSION`] are rejected with
+    /// [`EngineError::UnsupportedVersion`]; JSON without a `version` field
+    /// (including the pre-engine single-metric pipeline format) with
+    /// [`EngineError::Parse`].
     pub fn from_json(json: &str) -> Result<Self, EngineError> {
         let value = serde_json::parse_value(json).map_err(|e| EngineError::Parse(e.to_string()))?;
-        let artifact = match value.get("version") {
-            Some(version) => {
-                let found = version
-                    .as_u64()
-                    .ok_or_else(|| EngineError::Parse("`version` must be an integer".into()))?;
-                if found != ARTIFACT_VERSION as u64 {
-                    return Err(EngineError::UnsupportedVersion { found });
-                }
-                serde_json::from_value::<EngineArtifact>(&value)
-                    .map_err(|e| EngineError::Parse(e.to_string()))?
-            }
-            None if value.get("metric").is_some() => {
-                // Legacy PipelineArtifact { deployment, training, trained,
-                // metric, tau }: migrate to a single-metric engine artifact.
-                let get = |field: &str| {
-                    value.get(field).ok_or_else(|| {
-                        EngineError::Parse(format!("legacy artifact is missing `{field}`"))
-                    })
-                };
-                let deployment: DeploymentConfig = serde_json::from_value(get("deployment")?)
-                    .map_err(|e| EngineError::Parse(e.to_string()))?;
-                let training: TrainingConfig = serde_json::from_value(get("training")?)
-                    .map_err(|e| EngineError::Parse(e.to_string()))?;
-                let trained: TrainedThresholds = serde_json::from_value(get("trained")?)
-                    .map_err(|e| EngineError::Parse(e.to_string()))?;
-                let metric: MetricKind = serde_json::from_value(get("metric")?)
-                    .map_err(|e| EngineError::Parse(e.to_string()))?;
-                let tau: f64 = serde_json::from_value(get("tau")?)
-                    .map_err(|e| EngineError::Parse(e.to_string()))?;
-                let threshold = trained
-                    .threshold(metric, tau)
-                    .ok_or(EngineError::UntrainedMetric(metric))?;
-                EngineArtifact {
-                    version: ARTIFACT_VERSION,
-                    deployment,
-                    training,
-                    trained,
-                    metrics: vec![metric],
-                    thresholds: vec![threshold],
-                    tau: Some(tau),
-                }
-            }
-            None => {
-                return Err(EngineError::Parse(
-                    "not a LAD engine artifact (no `version` field)".into(),
-                ))
-            }
-        };
+        let found = value
+            .get("version")
+            .ok_or_else(|| {
+                EngineError::Parse("not a LAD engine artifact (no `version` field)".into())
+            })?
+            .as_u64()
+            .ok_or_else(|| EngineError::Parse("`version` must be an integer".into()))?;
+        if found != ARTIFACT_VERSION as u64 {
+            return Err(EngineError::UnsupportedVersion { found });
+        }
+        let artifact = serde_json::from_value::<EngineArtifact>(&value)
+            .map_err(|e| EngineError::Parse(e.to_string()))?;
         Self::from_artifact(artifact)
     }
 
@@ -1215,7 +1022,7 @@ mod tests {
     }
 
     #[test]
-    fn score_batch_into_matches_score_batch_row_by_row() {
+    fn score_batch_matches_score_rows_into_row_by_row() {
         let engine = engine();
         let network = Network::generate(engine.knowledge().clone(), 77);
         let requests: Vec<DetectionRequest> = (0..700u32)
@@ -1227,18 +1034,22 @@ mod tests {
             })
             .collect();
         let nested = engine.score_batch(&requests);
+        let mut rows = ObservationBatch::new(engine.knowledge().group_count());
+        for r in &requests {
+            rows.push(&r.observation, r.estimate);
+        }
         let mut flat = vec![42.0; 3]; // pre-existing garbage must be cleared
-        engine.score_batch_into(&requests, &mut flat);
+        engine.score_rows_into(&rows, &mut flat);
         assert_eq!(flat.len(), requests.len() * engine.metrics().len());
         for (row, nested_row) in flat.chunks(engine.metrics().len()).zip(&nested) {
             assert_eq!(row, nested_row.as_slice());
         }
-        // The sequential primitive produces the same rows.
+        // The sequential kernel produces the same rows.
         let mut seq = vec![0.0; requests.len() * engine.metrics().len()];
-        engine.score_seq_into(&requests, &mut seq);
+        engine.score_rows_seq_into(&rows, &mut seq);
         assert_eq!(seq, flat);
         // Empty batches leave an empty buffer.
-        engine.score_batch_into(&[], &mut flat);
+        engine.score_rows_into(&ObservationBatch::new(rows.group_count()), &mut flat);
         assert!(flat.is_empty());
     }
 

@@ -16,11 +16,9 @@ pub fn expected_observation(knowledge: &DeploymentKnowledge, location: Point2) -
 
 /// A reusable expected observation `µ(L_e)` paired with the group size `m`.
 ///
-/// This is the currency of the batched detection hot path: the engine
-/// computes `µ` **once per estimate** into a per-thread scratch
-/// `ExpectedObservation` (no allocation after warm-up) and hands the same
-/// buffer to every configured metric through
-/// [`DetectionMetric::score_from_expected`](crate::metrics::DetectionMetric::score_from_expected).
+/// Threshold training fills one per worker and reuses it across sampled
+/// nodes (no allocation after warm-up), scoring all three metrics against
+/// it in one dense fused pass.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExpectedObservation {
     mu: Vec<f64>,

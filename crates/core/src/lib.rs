@@ -17,9 +17,6 @@
 //! estimate, fans batches out over worker threads, accepts any localization
 //! scheme as a trait object, and serialises to versioned artifacts.
 //!
-//! (The older single-shot [`pipeline::LadPipeline`] is deprecated and now
-//! delegates to the engine.)
-//!
 //! # Quick example
 //!
 //! ```
@@ -67,7 +64,6 @@ pub mod detector;
 pub mod engine;
 pub mod expected;
 pub mod metrics;
-pub mod pipeline;
 pub mod threshold;
 pub mod training;
 
@@ -78,8 +74,6 @@ pub use engine::{
 };
 pub use expected::ExpectedObservation;
 pub use metrics::{AddAllMetric, DetectionMetric, DiffMetric, MetricKind, ProbabilityMetric};
-#[allow(deprecated)]
-pub use pipeline::LadPipeline;
 pub use threshold::TrainedThresholds;
 pub use training::{Trainer, TrainingConfig};
 
@@ -94,8 +88,6 @@ pub mod prelude {
     pub use crate::metrics::{
         AddAllMetric, DetectionMetric, DiffMetric, MetricKind, ProbabilityMetric,
     };
-    #[allow(deprecated)]
-    pub use crate::pipeline::LadPipeline;
     pub use crate::threshold::TrainedThresholds;
     pub use crate::training::{Trainer, TrainingConfig};
 }

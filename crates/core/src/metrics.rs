@@ -7,7 +7,7 @@
 //! anomaly) is mapped to a score by negating the log of the smallest
 //! per-group likelihood.
 
-use crate::expected::{l1_deviation, ExpectedObservation};
+use crate::expected::l1_deviation;
 use lad_deployment::{DeploymentKnowledge, SparseMu};
 use lad_geometry::Point2;
 use lad_net::{ObsRow, Observation};
@@ -62,21 +62,12 @@ pub trait DetectionMetric: Send + Sync {
     /// `mu`, where `group_size` is the per-group node count `m`.
     fn score(&self, obs: &Observation, mu: &[f64], group_size: usize) -> f64;
 
-    /// Scores `obs` against a pre-computed expected observation.
-    ///
-    /// This is the batched hot-path entry point: `µ(L_e)` is computed once
-    /// per estimate (see [`ExpectedObservation`]) and shared by every metric,
-    /// instead of being recomputed per metric as [`Self::score_at`] does.
-    fn score_from_expected(&self, expected: &ExpectedObservation, obs: &Observation) -> f64 {
-        self.score(obs, expected.mu(), expected.group_size())
-    }
-
     /// Scores a sparse batch row against a sparse expected observation in
     /// O(k + nnz) — k support groups plus the observation's nonzeros —
     /// instead of O(n).
     ///
     /// Bit-identical to densifying both sides and calling [`Self::score`]
-    /// (see the [sparse-kernel notes](score_all_fused_sparse)). The default
+    /// (see the [sparse-kernel notes](score_all_fused_sparse_soa)). The default
     /// implementation does exactly that densification as a correctness
     /// fallback; the three built-in metrics override it with allocation-free
     /// sparse kernels.
@@ -389,9 +380,8 @@ impl TabledLnPmf {
 /// Returns `[DM, AM, −ln min Pr]` in [`MetricKind::ALL`] order,
 /// **bit-identical** to running [`DiffMetric`], [`AddAllMetric`] and
 /// [`ProbabilityMetric`] separately (same accumulation order per metric).
-/// The batched engine uses this when configured with exactly the three
-/// built-in metrics: the observation and the expected observation are then
-/// loaded once per request instead of once per metric.
+/// This dense pass is what threshold training runs per sampled node and
+/// the reference the sparse kernel is proven bit-identical against.
 pub fn score_all_fused(obs: &Observation, mu: &[f64], group_size: usize) -> [f64; 3] {
     // Hot loop: lengths are validated once per batch at the engine boundary
     // (and by `ObservationBatch::push`), not per score.
@@ -407,160 +397,7 @@ pub fn score_all_fused(obs: &Observation, mu: &[f64], group_size: usize) -> [f64
     acc.finish()
 }
 
-/// All three paper metrics in one **O(k + nnz)** pass over a sparse batch
-/// row and a sparse expected observation — the serving hot path's kernel.
-///
-/// Only the µ support (`k` groups within the g(z) tail `z_max` of the
-/// estimate) and the observation's nonzeros are visited; every skipped
-/// group contributes exactly `(o, µ) = (0, 0.0)`, which adds `+0.0` to the
-/// Diff/Add-all accumulators (the IEEE identity) and is excluded from the
-/// probability min by the dense kernel's own zero-p guard. The result is
-/// therefore **bit-identical** to [`score_all_fused`] over the densified
-/// inputs — asserted by proptest in `tests/sparse_exactness.rs` — while the
-/// work no longer scales with the group count `n`.
-pub fn score_all_fused_sparse(row: ObsRow<'_>, mu: &SparseMu) -> [f64; 3] {
-    // Two specialised passes instead of one merged accumulator: the first
-    // carries only cheap float ops (predictable, small loop body), the
-    // second carries the expensive pmf evaluations over exactly the groups
-    // that need one — `nnz(o)` full evaluations plus the single deferred
-    // zero-observation one. Merging them into one loop triples the inlined
-    // pmf call sites and measurably slows the merge.
-    let entries = mu.entries();
-    let (og, oc) = (row.groups, row.counts);
-
-    // Pass 1 — Diff/Add-all over `support ∪ nonzero(o)` in ascending group
-    // order, plus the largest zero-observation µ. For groups outside the
-    // support, `(o − 0.0).abs()` and `o.max(0.0)` are exactly `o as f64`.
-    let mut dm = 0.0f64;
-    let mut am = 0.0f64;
-    let mut zero_obs = ZeroObsMin::new();
-    let mut oi = 0usize;
-    for &(g, mui) in entries {
-        while oi < og.len() && og[oi] < g {
-            let of = oc[oi] as f64;
-            dm += of;
-            am += of;
-            oi += 1;
-        }
-        let o = if oi < og.len() && og[oi] == g {
-            let c = oc[oi];
-            oi += 1;
-            c
-        } else {
-            0
-        };
-        let of = o as f64;
-        dm += (of - mui).abs();
-        am += of.max(mui);
-        if o == 0 {
-            zero_obs.see(mui);
-        }
-    }
-    while oi < og.len() {
-        let of = oc[oi] as f64;
-        dm += of;
-        am += of;
-        oi += 1;
-    }
-
-    // Pass 2 — probability: one full pmf evaluation per observation
-    // nonzero (µ looked up by a second merge walk; 0.0 when the group is
-    // outside the support), then the deferred zero-observation evaluation.
-    let pmf = TabledLnPmf::new(mu.group_size());
-    let mut min_ln_p = 0.0f64;
-    let mut si = 0usize;
-    for (&g, &o) in og.iter().zip(oc) {
-        while si < entries.len() && entries[si].0 < g {
-            si += 1;
-        }
-        let mui = if si < entries.len() && entries[si].0 == g {
-            entries[si].1
-        } else {
-            0.0
-        };
-        let ln_p = pmf.eval(o, mui);
-        if ln_p < min_ln_p {
-            min_ln_p = ln_p;
-        }
-    }
-    let min_ln_p = zero_obs.fold_into(&pmf, min_ln_p);
-    [dm, am, (-min_ln_p).min(NEG_LN_FLOOR)]
-}
-
-/// [`score_all_fused_sparse`] for a **dense** observation: the sparse µ
-/// support bounds the float work at O(k) while the observation nonzeros are
-/// found with a cheap integer scan. Bit-identical to [`score_all_fused`].
-///
-/// This is what the engine's `DetectionRequest` entry points run; batch
-/// ingestion via [`lad_net::ObservationBatch`] uses
-/// [`score_all_fused_sparse`] and skips the scan too.
-pub fn score_all_fused_sparse_obs(obs: &Observation, mu: &SparseMu) -> [f64; 3] {
-    let counts = obs.counts();
-    let entries = mu.entries();
-
-    // Pass 1 — Diff/Add-all (cheap ops only), as in the CSR variant but
-    // scanning the dense counts for nonzeros.
-    let mut dm = 0.0f64;
-    let mut am = 0.0f64;
-    let mut zero_obs = ZeroObsMin::new();
-    let mut i = 0usize;
-    for &(g, mui) in entries {
-        let g = g as usize;
-        while i < g {
-            let o = counts[i];
-            if o != 0 {
-                let of = o as f64;
-                dm += of;
-                am += of;
-            }
-            i += 1;
-        }
-        let o = counts[g];
-        let of = o as f64;
-        dm += (of - mui).abs();
-        am += of.max(mui);
-        if o == 0 {
-            zero_obs.see(mui);
-        }
-        i = g + 1;
-    }
-    while i < counts.len() {
-        let o = counts[i];
-        if o != 0 {
-            let of = o as f64;
-            dm += of;
-            am += of;
-        }
-        i += 1;
-    }
-
-    // Pass 2 — probability over the observation nonzeros.
-    let pmf = TabledLnPmf::new(mu.group_size());
-    let mut min_ln_p = 0.0f64;
-    let mut si = 0usize;
-    for (g, &o) in counts.iter().enumerate() {
-        if o == 0 {
-            continue;
-        }
-        let g = g as u32;
-        while si < entries.len() && entries[si].0 < g {
-            si += 1;
-        }
-        let mui = if si < entries.len() && entries[si].0 == g {
-            entries[si].1
-        } else {
-            0.0
-        };
-        let ln_p = pmf.eval(o, mui);
-        if ln_p < min_ln_p {
-            min_ln_p = ln_p;
-        }
-    }
-    let min_ln_p = zero_obs.fold_into(&pmf, min_ln_p);
-    [dm, am, (-min_ln_p).min(NEG_LN_FLOOR)]
-}
-
-/// Reusable structure-of-arrays buffers for the SoA fused kernels.
+/// Reusable structure-of-arrays buffers for [`score_all_fused_sparse_soa`].
 ///
 /// One merge walk fills four flat lanes — `(of, mu)` per merged group for
 /// the Diff/Add-all pass and `(po, pmu)` per probability evaluation — after
@@ -568,7 +405,7 @@ pub fn score_all_fused_sparse_obs(obs: &Observation, mu: &SparseMu) -> [f64; 3] 
 /// expensive pmf evaluations unroll into independent 4-wide blocks whose
 /// `ln`/division chains pipeline instead of serialising behind merge
 /// branches. Buffers grow to the high-water support size and are reused
-/// across calls; owners (engine scratch, serve shards) hold one per thread.
+/// across calls; the engine holds one per thread.
 #[derive(Debug, Default, Clone)]
 pub struct FusedSoaScratch {
     /// Pass-1 lane: observation count as f64, one per merged group.
@@ -650,11 +487,22 @@ fn soa_dm_am(scratch: &FusedSoaScratch) -> (f64, f64) {
     (dm, am)
 }
 
-/// Structure-of-arrays variant of [`score_all_fused_sparse`]:
-/// **bit-identical** by construction (proptested in
-/// `tests/sparse_exactness.rs`), faster because the support ∪ nonzero(o)
-/// merge runs **once** (the scalar kernel walks it in both passes) and the
-/// pmf evaluations overlap 4-wide over the gathered lanes.
+/// All three paper metrics in one **O(k + nnz)** pass over a sparse batch
+/// row and a sparse expected observation — the engine's CSR-row kernel.
+///
+/// Only the µ support (`k` groups within the g(z) tail `z_max` of the
+/// estimate) and the observation's nonzeros are visited; every skipped
+/// group contributes exactly `(o, µ) = (0, 0.0)`, which adds `+0.0` to the
+/// Diff/Add-all accumulators (the IEEE identity) and is excluded from the
+/// probability min by the dense kernel's own zero-p guard. The result is
+/// therefore **bit-identical** to [`score_all_fused`] over the densified
+/// inputs — asserted by proptest in `tests/sparse_exactness.rs` — while the
+/// work no longer scales with the group count `n`.
+///
+/// The structure-of-arrays layout runs the support ∪ nonzero(o) merge
+/// **once** into flat lanes, then reduces them; the pmf evaluations
+/// overlap 4-wide. A scalar two-merge twin of this kernel measured slower
+/// end to end on the paper-figure batch, so this is the one kept.
 pub fn score_all_fused_sparse_soa(
     row: ObsRow<'_>,
     mu: &SparseMu,
@@ -702,61 +550,6 @@ pub fn score_all_fused_sparse_soa(
         scratch.po.push(o);
         scratch.pmu.push(0.0);
         oi += 1;
-    }
-
-    let (dm, am) = soa_dm_am(scratch);
-    let pmf = TabledLnPmf::new(mu.group_size());
-    let min_ln_p = zero_obs.fold_into(&pmf, soa_min_ln_p(scratch, &pmf));
-    [dm, am, (-min_ln_p).min(NEG_LN_FLOOR)]
-}
-
-/// Structure-of-arrays variant of [`score_all_fused_sparse_obs`] (dense
-/// observation): same gather as [`score_all_fused_sparse_soa`] but scanning
-/// the dense counts, and — matching its scalar twin — obs-only zeros are
-/// skipped entirely and zero counts get no pmf evaluation.
-pub fn score_all_fused_sparse_obs_soa(
-    obs: &Observation,
-    mu: &SparseMu,
-    scratch: &mut FusedSoaScratch,
-) -> [f64; 3] {
-    let counts = obs.counts();
-    let entries = mu.entries();
-    scratch.clear();
-
-    let mut zero_obs = ZeroObsMin::new();
-    let mut i = 0usize;
-    for &(g, mui) in entries {
-        let g = g as usize;
-        while i < g {
-            let o = counts[i];
-            if o != 0 {
-                scratch.of.push(o as f64);
-                scratch.mu.push(0.0);
-                scratch.po.push(o);
-                scratch.pmu.push(0.0);
-            }
-            i += 1;
-        }
-        let o = counts[g];
-        scratch.of.push(o as f64);
-        scratch.mu.push(mui);
-        if o == 0 {
-            zero_obs.see(mui);
-        } else {
-            scratch.po.push(o);
-            scratch.pmu.push(mui);
-        }
-        i = g + 1;
-    }
-    while i < counts.len() {
-        let o = counts[i];
-        if o != 0 {
-            scratch.of.push(o as f64);
-            scratch.mu.push(0.0);
-            scratch.po.push(o);
-            scratch.pmu.push(0.0);
-        }
-        i += 1;
     }
 
     let (dm, am) = soa_dm_am(scratch);

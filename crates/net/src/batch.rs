@@ -96,6 +96,11 @@ pub enum CsrError {
         /// The offending row.
         row: usize,
     },
+    /// A row's location estimate has a NaN or infinite coordinate.
+    NonFiniteEstimate {
+        /// The offending row.
+        row: usize,
+    },
     /// Appending these rows would push the batch past `u32::MAX` stored
     /// pairs — the offset index space.
     CapacityOverflow {
@@ -137,6 +142,9 @@ impl fmt::Display for CsrError {
             }
             CsrError::TotalOverflow { row } => {
                 write!(f, "row {row}: counts overflow the u32 row total")
+            }
+            CsrError::NonFiniteEstimate { row } => {
+                write!(f, "row {row}: the location estimate is not finite")
             }
             CsrError::CapacityOverflow { existing, adding } => {
                 write!(
@@ -356,7 +364,9 @@ impl ObservationBatch {
     /// the batch is untouched, and on `Ok` every appended row satisfies the
     /// same invariants [`Self::push_sparse`] enforces — which is what lets
     /// the scoring kernels run on `debug_assert!`s only even when the rows
-    /// arrived from an untrusted network peer. Appending performs no
+    /// arrived from an untrusted network peer. Estimates must be finite: a
+    /// NaN or infinite coordinate is rejected, so it never reaches µ
+    /// lookup or a µ-cache key. Appending performs no
     /// per-report allocation (flat `extend_from_slice` into the reused
     /// arrays).
     pub fn try_extend_csr(
@@ -396,6 +406,10 @@ impl ObservationBatch {
         }
         // Validate every row before mutating anything.
         for row in 0..rows {
+            let at = estimates[row];
+            if !(at.x.is_finite() && at.y.is_finite()) {
+                return Err(CsrError::NonFiniteEstimate { row });
+            }
             let (lo, hi) = (offsets[row] as usize, offsets[row + 1] as usize);
             let mut prev: Option<u32> = None;
             let mut total = 0u32;
@@ -578,6 +592,17 @@ mod tests {
             batch.try_extend_csr(&[0, 2], &[1, 2], &[u32::MAX, 1], &est),
             Err(CsrError::TotalOverflow { row: 0 })
         );
+        // Estimates must be finite: NaN and ±∞ in either coordinate.
+        for bad in [
+            Point2::new(f64::NAN, 1.0),
+            Point2::new(1.0, f64::INFINITY),
+            Point2::new(f64::NEG_INFINITY, 1.0),
+        ] {
+            assert_eq!(
+                batch.try_extend_csr(&[0, 1, 1], &[1], &[2], &[est[0], bad]),
+                Err(CsrError::NonFiniteEstimate { row: 1 })
+            );
+        }
         // A failed extend never mutates the batch.
         assert_eq!(batch, pristine);
     }

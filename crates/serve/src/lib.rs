@@ -20,8 +20,9 @@
 //!          ▼             ▼             ▼
 //!      shard 0       shard 1   …   shard N-1        (std threads, bounded
 //!      ────────      ────────      ────────          mpsc queues ⇒ natural
-//!      score with    score with    score with        backpressure)
-//!      LadEngine     LadEngine     LadEngine
+//!      score the     score the     score the         backpressure)
+//!      decision      decision      decision
+//!      metric        metric        metric
 //!          │             │             │
 //!      per-node CUSUM / EWMA / one-shot state
 //!      (lad_stats::sequential, O(1) per node)
@@ -34,7 +35,8 @@
 //!
 //! * [`ServeRuntime`] — the runtime itself: worker shards over bounded
 //!   channels, per-node detector state keyed by [`lad_net::NodeId`],
-//!   batched ingestion through the engine's flat scoring kernel, an alarm
+//!   batched ingestion through the engine's sequential CSR-row kernel
+//!   (scoring only the decision metric the sequential rule reads), an alarm
 //!   output stream, live [`ServeCounters`], graceful shutdown, versioned
 //!   [`ServeSnapshot`] save/restore of all detector state **and** undrained
 //!   alarms (v2), and a pluggable [`ResponseFilter`] hook that suppresses
@@ -50,9 +52,9 @@
 //!
 //! For ingest across a process boundary, the `lad_wire` crate puts a
 //! framed binary front door (TCP / Unix-domain, validate-once decoding,
-//! explicit rate-limit → degrade → shed overload policy) in front of
-//! [`ServeRuntime::submit_rows`]; the `degraded` / `shed` /
-//! `decode_errors` members of [`ServeCounters`] are fed by that path.
+//! explicit rate-limit → shed → accept overload policy) in front of
+//! [`ServeRuntime::submit_rows`]; the `shed` / `decode_errors` members of
+//! [`ServeCounters`] are fed by that path.
 //!
 //! Alarm decisions are **bit-deterministic in the shard count**: routing is
 //! a pure function of the node id, every node's rounds reach its shard in

@@ -16,8 +16,8 @@ pub enum Stage {
     /// Approximate under idle polling (the poll interleaves socket reads);
     /// accurate under load, which is the regime that matters.
     Decode,
-    /// Overload-gate decision (rate limit / shed / degrade) plus the
-    /// ACK/NACK write back to the client.
+    /// Overload-gate decision (rate limit / shed / accept), the hand-off
+    /// to the runtime, and the ACK/NACK write back to the client.
     Gate,
     /// Time a batch sat in its shard queue: fold-time `now` minus the
     /// enqueue timestamp stamped by `submit_rows`.

@@ -9,7 +9,8 @@
 //!   validates once at the boundary and lands rows with zero per-report
 //!   allocation. Everything malformed maps to a typed [`WireError`].
 //! * [`shed`] — the explicit overload policy: per-source token-bucket
-//!   rate limits, then degrade-to-cheap-kernel, then shed-with-NACK.
+//!   rate limits, then shed-with-NACK past a queue-depth threshold, then
+//!   accept.
 //!   Queues never collapse; overload becomes receipts and counters.
 //! * [`server`] / [`client`] — a std-only framed stream server (TCP and
 //!   Unix-domain accept loops, one reader thread per connection, graceful
@@ -19,7 +20,7 @@
 //!   ([`WireClient::query_stats`]) and `HealthRequest` frames with either
 //!   a JSON health report or a Prometheus text exposition
 //!   ([`WireClient::query_health`], [`WireClient::scrape_prometheus`]),
-//!   and records shed / degrade / decode error events — with the
+//!   and records shed and decode error events — with the
 //!   offending peer address, sampled under pressure — into the runtime's
 //!   telemetry event ring.
 //!

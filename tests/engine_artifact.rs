@@ -1,6 +1,7 @@
 //! Coverage for the versioned `EngineArtifact` format: JSON round trips
 //! preserve verdicts, unknown versions are rejected with the typed error,
-//! and legacy (pre-engine) `LadPipeline` JSON is migrated.
+//! and legacy (pre-engine, unversioned) pipeline JSON is a typed parse
+//! error.
 
 use lad::prelude::*;
 
@@ -90,9 +91,8 @@ fn version_0_and_version_2_artifacts_are_rejected_with_the_typed_error() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn legacy_pipeline_artifact_json_is_migrated() {
-    // Hand-build the pre-engine PipelineArtifact JSON shape:
+fn legacy_pipeline_artifact_json_is_a_parse_error() {
+    // The pre-engine pipeline JSON shape:
     // { deployment, training, trained, metric, tau } with no version field.
     let training = TrainingConfig {
         networks: 2,
@@ -109,20 +109,10 @@ fn legacy_pipeline_artifact_json_is_migrated() {
         serde_json::to_string(&training).unwrap(),
         serde_json::to_string(&trained).unwrap(),
     );
-
-    let engine = LadEngine::from_json(&legacy).expect("legacy artifact migrates");
-    assert_eq!(engine.metrics(), &[MetricKind::Diff]);
-    assert_eq!(engine.tau(), Some(0.99));
-    let expected_threshold = trained.threshold(MetricKind::Diff, 0.99).unwrap();
-    assert!((engine.thresholds()[0] - expected_threshold).abs() <= expected_threshold * 1e-12);
-
-    // The deprecated pipeline loads the same legacy JSON through the engine.
-    let pipeline =
-        lad::core::LadPipeline::from_json(&legacy).expect("pipeline migrates legacy JSON");
-    assert_eq!(pipeline.metric(), MetricKind::Diff);
-
-    // And a migrated engine re-serialises as a versioned artifact.
-    assert!(engine.to_json().contains("\"version\":1"));
+    match LadEngine::from_json(&legacy) {
+        Err(EngineError::Parse(msg)) => assert!(msg.contains("version"), "{msg}"),
+        other => panic!("legacy JSON should be a Parse error, got {other:?}"),
+    }
 }
 
 #[test]
@@ -133,31 +123,6 @@ fn non_artifact_json_is_a_clear_parse_error() {
             other => panic!("{bad:?} should be a Parse error, got {other:?}"),
         }
     }
-}
-
-#[test]
-#[allow(deprecated)]
-fn pipeline_rejects_artifacts_without_an_operating_point() {
-    // A score-only artifact is a valid engine but not a valid pipeline: the
-    // pipeline API promises a metric, a tau and a threshold, so loading one
-    // through LadPipeline::from_json must fail cleanly instead of panicking
-    // later in tau()/detector().
-    let score_only = LadEngine::builder()
-        .deployment(&DeploymentConfig::small_test())
-        .metrics(&MetricKind::ALL)
-        .score_only()
-        .build()
-        .unwrap();
-    assert!(lad::core::LadPipeline::from_json(&score_only.to_json()).is_err());
-
-    // Same for explicit thresholds (no tau).
-    let explicit = LadEngine::builder()
-        .deployment(&DeploymentConfig::small_test())
-        .metric(MetricKind::Diff)
-        .thresholds(vec![25.0])
-        .build()
-        .unwrap();
-    assert!(lad::core::LadPipeline::from_json(&explicit.to_json()).is_err());
 }
 
 #[test]

@@ -4,8 +4,8 @@
 //! estimate streams with repeats, cell-boundary estimates (the
 //! `SupportIndex` grid seams), out-of-area fallback estimates, and
 //! eviction churn under adversarially tiny capacities. On top of the raw µ
-//! equality, the engine's cached row-scoring entry points must reproduce
-//! the uncached ones bit for bit, full and degraded alike.
+//! equality, the engine's cached row-scoring entry point must reproduce
+//! the uncached one bit for bit.
 
 use lad_core::{LadEngine, MetricKind};
 use lad_deployment::{DeploymentConfig, DeploymentKnowledge, MuCache, SparseMu};
@@ -108,9 +108,8 @@ proptest! {
     }
 
     /// The engine's cached sequential row scoring (the serve shard's hot
-    /// path) equals the uncached kernel bit for bit, for the fused
-    /// all-metrics pass and the degraded single-metric pass, even when the
-    /// cache is so small that almost every row evicts.
+    /// path) equals the uncached kernel bit for bit, even when the cache is
+    /// so small that almost every row evicts.
     #[test]
     fn prop_engine_cached_scoring_is_bit_identical(
         capacity in 1usize..32,
@@ -145,18 +144,6 @@ proptest! {
             prop_assert_eq!(c.to_bits(), u.to_bits());
         }
         prop_assert_eq!(cache.hits() + cache.misses(), rows.len() as u64);
-
-        // Degraded path, reusing the (now dirty) cache: history must not
-        // matter.
-        for kind in MetricKind::ALL {
-            let mut one_uncached = vec![0.0; rows.len()];
-            engine.score_rows_seq_one_into(&rows, kind, &mut one_uncached);
-            let mut one_cached = vec![0.0; rows.len()];
-            engine.score_rows_seq_one_cached_into(&rows, kind, &mut cache, &mut one_cached);
-            for (c, u) in one_cached.iter().zip(&one_uncached) {
-                prop_assert_eq!(c.to_bits(), u.to_bits());
-            }
-        }
     }
 }
 

@@ -1,6 +1,8 @@
 //! Shard-count determinism of the serving runtime: for a fixed seed and
 //! traffic timeline, the *set* of `(node, round)` alarms — and the final
-//! per-node detector states — are identical at 1, 2 and 8 shards. Routing
+//! per-node detector states — are identical at 1, 2 and 8 shards, and
+//! equal to an offline reference: the all-metrics batch kernel's decision
+//! column folded through the same rule, µ cache on or off. Routing
 //! is a pure function of the node id and every node's rounds reach its
 //! shard in submission order, so parallelism must never change a decision.
 //! With the response loop closed (journal → suspicion → revoke/quarantine
@@ -70,7 +72,7 @@ fn run_trace_cached(
     alarms.sort_unstable();
     let report = runtime.shutdown();
     assert_eq!(report.counters.submitted, report.counters.processed);
-    // Cache telemetry accounting: with memoization on, every full-mode
+    // Cache telemetry accounting: with memoization on, every processed
     // report is exactly one cache lookup; with it off, the counters stay 0.
     let lookups = report.counters.mu_cache_hits + report.counters.mu_cache_misses;
     if mu_cache_capacity == 0 {
@@ -113,6 +115,42 @@ fn alarm_sets_and_final_states_are_identical_at_1_2_and_8_shards() {
         alarms_1.iter().any(|&(_, round)| round >= 8),
         "the intermittent attack must produce alarms"
     );
+
+    // The offline reference: the parallel all-metrics kernel's decision
+    // column (`score_streams`), folded per node in round order through the
+    // same rule, reset on alarm as the runtime does by default. Serve
+    // scores only the decision metric; it must not matter.
+    let reference_streams = traffic.score_streams(&network, &engine, MetricKind::Diff, 0..rounds);
+    let mut reference = Vec::new();
+    let mut reference_states = Vec::new();
+    for (node, stream) in traffic.nodes().iter().zip(&reference_streams) {
+        let mut state = detector.initial_state();
+        for (round, &score) in stream.iter().enumerate() {
+            if detector.update(&mut state, score) {
+                reference.push((node.0, round as u64));
+                detector.reset(&mut state);
+            }
+        }
+        reference_states.push(lad::serve::NodeDetectorState {
+            node: node.0,
+            state,
+        });
+    }
+    reference.sort_unstable();
+    reference_states.sort_by_key(|s| s.node);
+    let default_capacity = ServeConfig::new(MetricKind::Diff, detector).mu_cache_capacity;
+    for capacity in [0, default_capacity] {
+        let (alarms, snapshot) =
+            run_trace_cached(&engine, &network, &traffic, detector, 1, rounds, capacity);
+        assert_eq!(
+            alarms, reference,
+            "1-shard alarms differ from the offline reference at µ-cache capacity {capacity}"
+        );
+        assert_eq!(
+            snapshot.states, reference_states,
+            "1-shard final states differ from the offline reference at capacity {capacity}"
+        );
+    }
     for shards in [2usize, 8] {
         let (alarms_n, snapshot_n) =
             run_trace(&engine, &network, &traffic, detector, shards, rounds);

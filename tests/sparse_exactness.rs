@@ -5,10 +5,7 @@
 //! random / saturated observations, for all three metrics and the fused
 //! kernel.
 
-use lad_core::metrics::{
-    score_all_fused, score_all_fused_sparse, score_all_fused_sparse_obs,
-    score_all_fused_sparse_obs_soa, score_all_fused_sparse_soa, FusedSoaScratch,
-};
+use lad_core::metrics::{score_all_fused, score_all_fused_sparse_soa, FusedSoaScratch};
 use lad_core::{DetectionRequest, LadEngine, MetricKind, ProbabilityMetric};
 use lad_deployment::{DeploymentConfig, DeploymentKnowledge, SparseMu};
 use lad_geometry::Point2;
@@ -85,26 +82,18 @@ fn check_point(knowledge: &DeploymentKnowledge, obs: &Observation, theta: Point2
         "min_ln_probability",
     );
 
-    // Fused kernels: dense, sparse row, sparse µ against a dense obs.
+    // The fused CSR-row kernel (single gather + 4-wide-unrolled pmf
+    // lanes) reproduces the dense fused pass bit for bit — the
+    // proptest-corpus proof that its reduction order equals the dense one.
+    // The scratch is reused across calls (dirty-buffer reuse is the
+    // serving reality).
     let dense_fused = score_all_fused(obs, &dense_mu, m);
-    let sparse_fused = score_all_fused_sparse(row, &smu);
-    let sparse_obs_fused = score_all_fused_sparse_obs(obs, &smu);
-    for i in 0..3 {
-        assert_bits(dense_fused[i], sparse_fused[i], "fused sparse row");
-        assert_bits(dense_fused[i], sparse_obs_fused[i], "fused sparse obs");
-    }
-
-    // SoA fused kernels: the single-gather + 4-wide-unrolled variants must
-    // reproduce their scalar twins bit for bit — this is the proptest-corpus
-    // proof that the SoA reduction order equals the scalar one. The scratch
-    // is reused across both calls (dirty-buffer reuse is the serving
-    // reality).
     let mut soa = FusedSoaScratch::new();
-    let soa_row = score_all_fused_sparse_soa(row, &smu, &mut soa);
-    let soa_obs = score_all_fused_sparse_obs_soa(obs, &smu, &mut soa);
-    for i in 0..3 {
-        assert_bits(sparse_fused[i], soa_row[i], "SoA fused sparse row");
-        assert_bits(sparse_obs_fused[i], soa_obs[i], "SoA fused sparse obs");
+    for _ in 0..2 {
+        let sparse_fused = score_all_fused_sparse_soa(row, &smu, &mut soa);
+        for i in 0..3 {
+            assert_bits(dense_fused[i], sparse_fused[i], "fused sparse row");
+        }
     }
 }
 
@@ -189,36 +178,16 @@ fn engine_row_scoring_matches_dense_request_scoring_bitwise() {
         rows.push(&obs, at);
         requests.push(DetectionRequest::new(obs, at));
     }
-    // Three entry points, one answer: nested Vec batch, flat dense-request
-    // batch, flat CSR row batch (parallel) and the sequential row kernel.
+    // Three entry points, one answer: the request adapter, the CSR row
+    // batch (parallel) and the sequential row kernel.
     let nested = engine.score_batch(&requests);
-    let mut flat_requests = Vec::new();
-    engine.score_batch_into(&requests, &mut flat_requests);
+    let flat_requests = nested.concat();
     let mut flat_rows = Vec::new();
     engine.score_rows_into(&rows, &mut flat_rows);
     let mut seq_rows = vec![0.0; rows.len() * engine.metrics().len()];
     engine.score_rows_seq_into(&rows, &mut seq_rows);
     assert_eq!(flat_rows, flat_requests);
     assert_eq!(flat_rows, seq_rows);
-    // The degraded-serving kernel: each single-metric column reproduces
-    // the fused pass's column bit for bit (what lets the wire front door
-    // degrade under load without changing any alarm decision).
-    let width = engine.metrics().len();
-    for (k, &kind) in engine.metrics().iter().enumerate() {
-        let mut one = vec![0.0; rows.len()];
-        engine.score_rows_seq_one_into(&rows, kind, &mut one);
-        for (r, &score) in one.iter().enumerate() {
-            assert_eq!(
-                score.to_bits(),
-                seq_rows[r * width + k].to_bits(),
-                "single-metric column {} row {r}",
-                kind.name()
-            );
-        }
-    }
-    for (row, nested_row) in flat_rows.chunks(engine.metrics().len()).zip(&nested) {
-        assert_eq!(row, nested_row.as_slice());
-    }
 }
 
 #[test]
@@ -242,8 +211,7 @@ fn non_fused_engines_score_rows_identically_too() {
         rows.push(&obs, at);
         requests.push(DetectionRequest::new(obs, at));
     }
-    let mut flat_requests = Vec::new();
-    engine.score_batch_into(&requests, &mut flat_requests);
+    let flat_requests = engine.score_batch(&requests).concat();
     let mut flat_rows = Vec::new();
     engine.score_rows_into(&rows, &mut flat_rows);
     assert_eq!(flat_rows, flat_requests);

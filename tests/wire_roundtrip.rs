@@ -168,8 +168,8 @@ proptest! {
         let (nodes, batch) = build_batch(group_count, rows, &dense, &coords);
         let mut wire = Vec::new();
         encode_batch(&mut wire, 9, &nodes, &batch);
-        encode_ack(&mut wire, 9, rows as u32, false);
-        encode_nack(&mut wire, 10, rows as u32, ShedReason::Overloaded, 64, 8);
+        encode_ack(&mut wire, 9, rows as u32);
+        encode_nack(&mut wire, 10, rows as u32, ShedReason::Overloaded, 64);
 
         // Flip one byte anywhere in the three-frame stream: every outcome
         // must be a decoded frame or a typed error — the decode loop below
@@ -266,15 +266,16 @@ fn malformed_frame_corpus_yields_exactly_the_right_errors() {
     ));
 
     // --- Payload defects (framing valid, checksum correct) -----------------
-    // Ack payload of the wrong fixed size.
-    let frame = raw_frame(2, &[0u8; 12]);
+    // Ack payload of the wrong fixed size — e.g. the 13-byte v3 shape
+    // with the retired degraded flag.
+    let frame = raw_frame(2, &[0u8; 13]);
     assert_eq!(
         WireDecoder::new(4)
             .poll_frame(&mut Cursor::new(&frame))
             .unwrap_err(),
         WireError::BadPayload {
             kind: FrameKind::Ack,
-            len: 12
+            len: 13
         }
     );
     // Batch payload shorter than its own preamble.
@@ -341,6 +342,25 @@ fn malformed_frame_corpus_yields_exactly_the_right_errors() {
             batch_payload(1, 4, 1, 1, &[8], &[1, 1], &[1], &[1], &est),
             CsrError::OffsetsNotMonotone,
         ),
+        // Non-finite estimates never reach µ lookup or a µ-cache key.
+        (
+            batch_payload(1, 4, 1, 1, &[8], &[0, 1], &[1], &[1], &[(f64::NAN, 6.0)]),
+            CsrError::NonFiniteEstimate { row: 0 },
+        ),
+        (
+            batch_payload(
+                1,
+                4,
+                2,
+                1,
+                &[8, 9],
+                &[0, 1, 1],
+                &[1],
+                &[1],
+                &[(5.0, 6.0), (5.0, f64::INFINITY)],
+            ),
+            CsrError::NonFiniteEstimate { row: 1 },
+        ),
     ];
     for (payload, expected) in csr_cases {
         let mut decoder = WireDecoder::new(4);
@@ -352,24 +372,13 @@ fn malformed_frame_corpus_yields_exactly_the_right_errors() {
     }
 
     // Undefined enum bytes in receipts.
-    let mut ack13 = batch_payload(0, 0, 0, 0, &[], &[], &[], &[], &[]);
-    ack13.truncate(12);
-    ack13.push(2); // degraded flag ∉ {0, 1}
+    let mut nack21 = batch_payload(0, 0, 0, 0, &[], &[], &[], &[], &[]);
+    nack21.truncate(12);
+    nack21.push(0); // shed reason 0 is undefined
+    nack21.extend_from_slice(&[0u8; 8]); // shed total
     assert_eq!(
         WireDecoder::new(4)
-            .poll_frame(&mut Cursor::new(&raw_frame(2, &ack13)))
-            .unwrap_err(),
-        WireError::InvalidEnum {
-            field: "ack degraded flag",
-            found: 2
-        }
-    );
-    let mut nack29 = ack13.clone();
-    *nack29.last_mut().unwrap() = 0; // shed reason 0 is undefined
-    nack29.extend_from_slice(&[0u8; 16]); // shed/degraded totals
-    assert_eq!(
-        WireDecoder::new(4)
-            .poll_frame(&mut Cursor::new(&raw_frame(3, &nack29)))
+            .poll_frame(&mut Cursor::new(&raw_frame(3, &nack21)))
             .unwrap_err(),
         WireError::InvalidEnum {
             field: "nack shed reason",
