@@ -4,9 +4,7 @@
 //! headline numbers so `cargo bench` output doubles as a smoke reproduction.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lad_attack::AttackClass;
-use lad_bench::{bench_cache, bench_config, bench_context};
-use lad_core::MetricKind;
+use lad_bench::{bench_cache, bench_config};
 use lad_eval::experiments::fig4_roc_metrics;
 
 fn bench_fig4(c: &mut Criterion) {
@@ -23,13 +21,6 @@ fn bench_fig4(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("full_figure", |b| {
         b.iter(|| fig4_roc_metrics(&base, &cache))
-    });
-    let ctx = bench_context();
-    group.bench_function("single_point_diff_d120", |b| {
-        b.iter(|| {
-            ctx.score_set(MetricKind::Diff, AttackClass::DecBounded, 120.0, 0.10)
-                .roc()
-        })
     });
     group.finish();
 }

@@ -1,9 +1,7 @@
 //! Figures 5–6 bench: ROC curves for Dec-Bounded vs Dec-Only attacks.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lad_attack::AttackClass;
-use lad_bench::{bench_cache, bench_config, bench_context};
-use lad_core::MetricKind;
+use lad_bench::{bench_cache, bench_config};
 use lad_eval::experiments::fig56_roc_attacks;
 
 fn bench_fig56(c: &mut Criterion) {
@@ -19,13 +17,6 @@ fn bench_fig56(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("full_figure", |b| {
         b.iter(|| fig56_roc_attacks(&base, &cache))
-    });
-    let ctx = bench_context();
-    group.bench_function("dec_only_point_d80", |b| {
-        b.iter(|| {
-            ctx.score_set(MetricKind::Diff, AttackClass::DecOnly, 80.0, 0.10)
-                .roc()
-        })
     });
     group.finish();
 }

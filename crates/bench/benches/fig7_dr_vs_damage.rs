@@ -1,9 +1,7 @@
 //! Figure 7 bench: detection rate vs degree of damage (DR-D-x).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lad_attack::AttackClass;
-use lad_bench::{bench_cache, bench_config, bench_context};
-use lad_core::MetricKind;
+use lad_bench::{bench_cache, bench_config};
 use lad_eval::experiments::fig7_dr_vs_damage;
 
 fn bench_fig7(c: &mut Criterion) {
@@ -24,10 +22,6 @@ fn bench_fig7(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("full_figure", |b| {
         b.iter(|| fig7_dr_vs_damage(&base, &cache))
-    });
-    let ctx = bench_context();
-    group.bench_function("single_dr_point", |b| {
-        b.iter(|| ctx.detection_rate(MetricKind::Diff, AttackClass::DecBounded, 120.0, 0.10, 0.01))
     });
     group.finish();
 }

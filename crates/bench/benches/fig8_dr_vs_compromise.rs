@@ -1,9 +1,7 @@
 //! Figure 8 bench: detection rate vs percentage of compromised nodes (DR-x-D).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lad_attack::AttackClass;
-use lad_bench::{bench_cache, bench_config, bench_context};
-use lad_core::MetricKind;
+use lad_bench::{bench_cache, bench_config};
 use lad_eval::experiments::fig8_dr_vs_compromise;
 
 fn bench_fig8(c: &mut Criterion) {
@@ -24,10 +22,6 @@ fn bench_fig8(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("full_figure", |b| {
         b.iter(|| fig8_dr_vs_compromise(&base, &cache))
-    });
-    let ctx = bench_context();
-    group.bench_function("single_dr_point_x50", |b| {
-        b.iter(|| ctx.detection_rate(MetricKind::Diff, AttackClass::DecBounded, 160.0, 0.50, 0.01))
     });
     group.finish();
 }

@@ -1,27 +1,25 @@
-//! Scenario-layer bench: grid-level streaming evaluation vs the per-point
-//! buffered path, at equal sample counts.
+//! Scenario-layer bench: the streaming (binned) accumulator layout vs the
+//! exact one, on the same grid at equal sample counts.
 //!
-//! Both contenders evaluate the same `{Diff} × {Dec-Bounded} × 4 damages ×
-//! 3 fractions` grid (12 cells) against the same deployments:
+//! Both contenders run the same `{Diff} × {Dec-Bounded} × 4 damages ×
+//! 3 fractions` grid (12 cells) through the `ScenarioRunner`, against the
+//! same cached deployment substrate:
 //!
-//! * **buffered_per_point** — the `EvalContext` compatibility shape: drive
-//!   one cell after another, buffer every clean and attacked score in
-//!   `Vec<f64>`s (O(samples) memory per point) and build the exact
-//!   sort-based ROC.
-//! * **streaming_grid** — one `ScenarioSpec` run by the `ScenarioRunner`:
-//!   all cells fan out together on one Rayon pool, scores stream into
-//!   O(bins) accumulators (forced binned here so the streaming path is
-//!   actually exercised at bench scale).
+//! * **exact_grid** — `AccumulatorConfig::exact()`: every attacked score is
+//!   kept (O(samples) memory per cell) and the ROC is the exact sort-based
+//!   curve.
+//! * **streaming_grid** — forced binned (`exact_limit: 0`), so the streaming
+//!   path is actually exercised at bench scale: O(bins) memory per cell.
 //!
 //! The trial simulation dominates and is identical on both sides, so the
 //! wall-clock gap is the streaming layer's overhead — a few percent at
 //! equal counts. What the streaming side buys for that overhead is the
 //! memory ceiling: per-cell state is ~2k bins instead of every score, which
-//! is what lets sample counts grow 10–100× past the buffered path.
+//! is what lets sample counts grow 10–100× past the exact layout.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lad_attack::AttackClass;
-use lad_bench::{bench_config, bench_context};
+use lad_bench::bench_config;
 use lad_core::MetricKind;
 use lad_eval::scenario::{AttackMix, ParamGrid, ScenarioRunner, ScenarioSpec};
 use lad_stats::AccumulatorConfig;
@@ -43,50 +41,38 @@ fn bench_scenario(c: &mut Criterion) {
     let mut group = c.benchmark_group("scenario_grid");
     group.sample_size(10);
 
-    // Old shape: clean scores buffered once, every attack point buffered and
-    // sorted independently, sequential cell loop.
-    let ctx = bench_context();
-    group.bench_function("buffered_per_point", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for &d in &DAMAGES {
-                for &x in &FRACTIONS {
-                    acc += ctx
-                        .score_set(MetricKind::Diff, AttackClass::DecBounded, d, x)
-                        .roc()
-                        .detection_rate_at_fp(0.01);
-                }
-            }
-            acc
-        })
-    });
-
-    // New shape: the same grid as one streamed scenario (substrate built
-    // once per iteration to keep the comparison honest about shared work:
-    // the buffered path also reuses its pre-built clean scores).
-    let spec = ScenarioSpec::new(
-        "bench_grid",
-        "bench grid",
-        lad_eval::experiments::standard_axis(&base),
-        grid(),
-        base.sampling_plan(),
-    )
-    .with_accumulator(AccumulatorConfig {
-        exact_limit: 0, // always binned: O(bins) memory per cell
+    let cache = lad_eval::scenario::SubstrateCache::new();
+    let spec = |accumulator| {
+        ScenarioSpec::new(
+            "bench_grid",
+            "bench grid",
+            lad_eval::experiments::standard_axis(&base),
+            grid(),
+            base.sampling_plan(),
+        )
+        .with_accumulator(accumulator)
+    };
+    let exact = spec(AccumulatorConfig::exact());
+    // Always binned: O(bins) memory per cell.
+    let streaming = spec(AccumulatorConfig {
+        exact_limit: 0,
         ..AccumulatorConfig::default()
     });
-    let cache = lad_eval::scenario::SubstrateCache::new();
-    let _ = cache.substrate(&spec.deployments[0], &spec.sampling, spec.accumulator);
-    group.bench_function("streaming_grid", |b| {
-        b.iter(|| {
-            let result = ScenarioRunner::with_cache(&spec, &cache).run();
-            let dep = result.single();
-            dep.cells
-                .iter()
-                .map(|cell| dep.detection_rate(cell, 0.01))
-                .sum::<f64>()
-        })
-    });
+    for (name, spec) in [("exact_grid", &exact), ("streaming_grid", &streaming)] {
+        // Substrates are built outside the timed loop: both sides reuse
+        // their pre-built clean scores.
+        let _ = cache.substrate(&spec.deployments[0], &spec.sampling, spec.accumulator);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let result = ScenarioRunner::with_cache(spec, &cache).run();
+                let dep = result.single();
+                dep.cells
+                    .iter()
+                    .map(|cell| dep.detection_rate(cell, 0.01))
+                    .sum::<f64>()
+            })
+        });
+    }
     group.finish();
 }
 

@@ -7,7 +7,7 @@
 //! point is simulated once per bench process.
 
 use lad_eval::scenario::{Substrate, SubstrateCache};
-use lad_eval::{EvalConfig, EvalContext};
+use lad_eval::EvalConfig;
 use std::sync::Arc;
 
 /// The reduced evaluation configuration every figure bench uses.
@@ -23,12 +23,6 @@ pub fn bench_cache() -> SubstrateCache {
 /// The standard reduced-scale substrate out of `cache`.
 pub fn bench_substrate(cache: &SubstrateCache) -> Arc<Substrate> {
     lad_eval::experiments::standard_substrate(&bench_config(), cache)
-}
-
-/// A buffered evaluation context at reduced scale (the raw-score
-/// compatibility layer; used by benches that sweep single points).
-pub fn bench_context() -> EvalContext {
-    EvalContext::new(bench_config())
 }
 
 /// An installed-but-idle response filter for serve-path overhead
@@ -56,17 +50,12 @@ mod tests {
     use lad_core::MetricKind;
 
     #[test]
-    fn bench_context_is_small_but_nonempty() {
-        let ctx = bench_context();
-        assert!(!ctx.clean_scores(MetricKind::Diff).is_empty());
-        assert!(ctx.knowledge().config().total_nodes() < 5000);
-    }
-
-    #[test]
     fn bench_substrate_is_shared_through_the_cache() {
         let cache = bench_cache();
         let a = bench_substrate(&cache);
         let b = bench_substrate(&cache);
         assert!(Arc::ptr_eq(&a, &b));
+        assert!(a.clean(MetricKind::Diff).count() > 0);
+        assert!(a.knowledge().config().total_nodes() < 5000);
     }
 }

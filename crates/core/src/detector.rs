@@ -1,10 +1,6 @@
-//! The LAD detector: metric + trained threshold.
+//! The LAD verdict: one metric's score against its trained threshold.
 
 use crate::metrics::MetricKind;
-use crate::threshold::TrainedThresholds;
-use lad_deployment::DeploymentKnowledge;
-use lad_geometry::Point2;
-use lad_net::Observation;
 use serde::{Deserialize, Serialize};
 
 /// The result of running LAD on one (observation, estimated location) pair.
@@ -20,101 +16,44 @@ pub struct Verdict {
     pub anomalous: bool,
 }
 
-/// A configured LAD detector: one metric and one trained threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LadDetector {
-    metric: MetricKind,
-    threshold: f64,
-}
-
-impl LadDetector {
-    /// Creates a detector with an explicit threshold (normally obtained from
-    /// [`TrainedThresholds::threshold`]).
-    pub fn new(metric: MetricKind, threshold: f64) -> Self {
-        Self { metric, threshold }
-    }
-
-    /// The metric in use.
-    pub fn metric(&self) -> MetricKind {
-        self.metric
-    }
-
-    /// The detection threshold in use.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// Returns a copy with a different threshold (used when sweeping ROC
-    /// operating points).
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        self.threshold = threshold;
-        self
-    }
-
-    /// Computes the anomaly score of `(obs, estimate)` without thresholding.
-    pub fn score(
-        &self,
-        knowledge: &DeploymentKnowledge,
-        obs: &Observation,
-        estimate: Point2,
-    ) -> f64 {
-        self.metric.metric().score_at(knowledge, obs, estimate)
-    }
-
-    /// Runs detection: computes the score and compares it to the threshold.
-    pub fn detect(
-        &self,
-        knowledge: &DeploymentKnowledge,
-        obs: &Observation,
-        estimate: Point2,
-    ) -> Verdict {
-        let score = self.score(knowledge, obs, estimate);
-        Verdict {
-            metric: self.metric,
-            score,
-            threshold: self.threshold,
-            anomalous: score > self.threshold,
-        }
-    }
-}
-
-impl TrainedThresholds {
-    /// Builds a detector for `metric` at the τ-percentile threshold.
-    ///
-    /// Panics when the metric has no training samples — train first.
-    pub fn detector(&self, metric: MetricKind, tau: f64) -> LadDetector {
-        let threshold = self
-            .threshold(metric, tau)
-            .expect("metric has no training samples; run Trainer::train first");
-        LadDetector::new(metric, threshold)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::LadEngine;
     use crate::expected::rounded_expected;
-    use crate::training::{Trainer, TrainingConfig};
-    use lad_deployment::{DeploymentConfig, DeploymentKnowledge};
+    use crate::training::TrainingConfig;
+    use lad_deployment::DeploymentConfig;
+    use lad_geometry::Point2;
     use lad_localization::BeaconlessMle;
     use lad_net::{Network, NodeId};
 
-    fn trained_knowledge() -> (std::sync::Arc<DeploymentKnowledge>, TrainedThresholds) {
-        let knowledge = DeploymentKnowledge::shared(&DeploymentConfig::small_test());
-        let trained = Trainer::new(TrainingConfig {
-            networks: 2,
-            samples_per_network: 80,
-            seed: 77,
-            localizer: BeaconlessMle::new(),
-        })
-        .train(&knowledge);
-        (knowledge, trained)
+    /// An engine trained on every metric at `tau`.
+    fn trained_engine(tau: f64) -> LadEngine {
+        LadEngine::builder()
+            .deployment(&DeploymentConfig::small_test())
+            .training(TrainingConfig {
+                networks: 2,
+                samples_per_network: 80,
+                seed: 77,
+                localizer: BeaconlessMle::new(),
+            })
+            .metrics(&MetricKind::ALL)
+            .tau(tau)
+            .build()
+            .expect("engine builds")
+    }
+
+    fn diff_verdict(engine: &LadEngine, obs: &lad_net::Observation, at: Point2) -> Verdict {
+        *engine
+            .verify(obs, at)
+            .verdict(MetricKind::Diff)
+            .expect("Diff is configured")
     }
 
     #[test]
     fn clean_nodes_rarely_alarm_at_high_tau() {
-        let (knowledge, trained) = trained_knowledge();
-        let detector = trained.detector(MetricKind::Diff, 0.99);
+        let engine = trained_engine(0.99);
+        let knowledge = engine.knowledge().clone();
         let network = Network::generate(knowledge.clone(), 1234);
         let localizer = BeaconlessMle::new();
         let mut alarms = 0usize;
@@ -126,7 +65,7 @@ mod tests {
                 continue;
             };
             total += 1;
-            if detector.detect(&knowledge, &obs, est).anomalous {
+            if diff_verdict(&engine, &obs, est).anomalous {
                 alarms += 1;
             }
         }
@@ -137,53 +76,43 @@ mod tests {
 
     #[test]
     fn grossly_displaced_location_alarms() {
-        let (knowledge, trained) = trained_knowledge();
-        let detector = trained.detector(MetricKind::Diff, 0.99);
+        let engine = trained_engine(0.99);
         // Observation consistent with (100, 100) but claimed location far away.
         let truth = Point2::new(100.0, 100.0);
-        let obs = rounded_expected(&knowledge.expected_observation(truth));
-        let verdict = detector.detect(&knowledge, &obs, Point2::new(320.0, 320.0));
+        let obs = rounded_expected(&engine.knowledge().expected_observation(truth));
+        let verdict = diff_verdict(&engine, &obs, Point2::new(320.0, 320.0));
         assert!(
             verdict.anomalous,
             "score {} threshold {}",
             verdict.score, verdict.threshold
         );
         // The same observation at the true location is not anomalous.
-        let clean = detector.detect(&knowledge, &obs, truth);
-        assert!(!clean.anomalous);
-    }
-
-    #[test]
-    fn with_threshold_changes_the_operating_point() {
-        let d = LadDetector::new(MetricKind::Diff, 10.0);
-        assert_eq!(d.threshold(), 10.0);
-        assert_eq!(d.metric(), MetricKind::Diff);
-        let d2 = d.with_threshold(20.0);
-        assert_eq!(d2.threshold(), 20.0);
-        assert_eq!(
-            d.threshold(),
-            10.0,
-            "original is unchanged (Copy semantics)"
-        );
+        assert!(!diff_verdict(&engine, &obs, truth).anomalous);
     }
 
     #[test]
     fn verdict_fields_are_consistent() {
-        let (knowledge, trained) = trained_knowledge();
-        for kind in MetricKind::ALL {
-            let detector = trained.detector(kind, 0.95);
-            let obs = rounded_expected(&knowledge.expected_observation(Point2::new(150.0, 150.0)));
-            let v = detector.detect(&knowledge, &obs, Point2::new(250.0, 250.0));
+        let engine = trained_engine(0.95);
+        let obs = rounded_expected(
+            &engine
+                .knowledge()
+                .expected_observation(Point2::new(150.0, 150.0)),
+        );
+        let multi = engine.verify(&obs, Point2::new(250.0, 250.0));
+        assert_eq!(multi.verdicts.len(), MetricKind::ALL.len());
+        for ((v, &kind), &threshold) in multi
+            .verdicts
+            .iter()
+            .zip(engine.metrics())
+            .zip(engine.thresholds())
+        {
             assert_eq!(v.metric, kind);
+            assert_eq!(v.threshold, threshold);
             assert_eq!(v.anomalous, v.score > v.threshold);
-            assert_eq!(v.threshold, detector.threshold());
+            let json = serde_json::to_string(v).expect("verdict serialises");
+            let back: Verdict = serde_json::from_str(&json).expect("verdict parses");
+            assert_eq!(*v, back);
         }
-    }
-
-    #[test]
-    #[should_panic]
-    fn detector_for_untrained_metric_panics() {
-        let empty = TrainedThresholds::new();
-        let _ = empty.detector(MetricKind::Diff, 0.99);
+        assert_eq!(multi.anomalous, multi.verdicts.iter().any(|v| v.anomalous));
     }
 }

@@ -48,7 +48,7 @@
 //! assert_eq!(verdicts[0].verdicts.len(), 3); // one per configured metric
 //! ```
 
-use crate::detector::{LadDetector, Verdict};
+use crate::detector::Verdict;
 use crate::metrics::{score_all_fused_sparse_soa, DetectionMetric, FusedSoaScratch, MetricKind};
 use crate::threshold::TrainedThresholds;
 use crate::training::{Trainer, TrainingConfig};
@@ -446,19 +446,6 @@ impl LadEngine {
     /// Position of `metric` in the engine's scoring order.
     pub fn metric_index(&self, metric: MetricKind) -> Option<usize> {
         self.artifact.metrics.iter().position(|&m| m == metric)
-    }
-
-    /// A single-metric [`LadDetector`] at the engine's operating point (for
-    /// interop with the pre-engine API).
-    ///
-    /// # Panics
-    /// Panics on a score-only engine.
-    pub fn detector(&self, metric: MetricKind) -> LadDetector {
-        let idx = self
-            .metric_index(metric)
-            .unwrap_or_else(|| panic!("metric {} is not configured", metric.name()));
-        self.assert_thresholds();
-        LadDetector::new(metric, self.artifact.thresholds[idx])
     }
 
     // ---- the hot path ------------------------------------------------------

@@ -31,11 +31,6 @@ impl ExpectedObservation {
         Self::default()
     }
 
-    /// Builds the buffer from explicit values (mostly for tests).
-    pub fn from_parts(mu: Vec<f64>, group_size: usize) -> Self {
-        Self { mu, group_size }
-    }
-
     /// Recomputes `µ(location)` in place, reusing the existing allocation.
     ///
     /// Consumes [`DeploymentKnowledge::expected_iter`], whose

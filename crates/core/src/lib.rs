@@ -67,7 +67,7 @@ pub mod metrics;
 pub mod threshold;
 pub mod training;
 
-pub use detector::{LadDetector, Verdict};
+pub use detector::Verdict;
 pub use engine::{
     DetectionRequest, EngineArtifact, EngineError, LadEngine, LadEngineBuilder, LocalizationScheme,
     MultiVerdict,
@@ -79,7 +79,7 @@ pub use training::{Trainer, TrainingConfig};
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::detector::{LadDetector, Verdict};
+    pub use crate::detector::Verdict;
     pub use crate::engine::{
         DetectionRequest, EngineArtifact, EngineError, LadEngine, LadEngineBuilder,
         LocalizationScheme, MultiVerdict,

@@ -206,7 +206,7 @@ pub fn containment(base: &EvalConfig, cache: &SubstrateCache) -> FigureReport {
         .iter()
         .map(|detector| {
             ThresholdRevoke::calibrate(
-                &clean_alarm_rounds(detector, &warmup, true),
+                &clean_alarm_rounds(detector, &warmup),
                 WARMUP_ROUNDS,
                 response_config,
                 TARGET_COLLATERAL,

@@ -57,8 +57,7 @@
 //! ```
 //!
 //! The shared machinery lives in [`scenario`] (specs, substrates, the
-//! grid-parallel runner), [`runner`] (the buffered [`EvalContext`]
-//! compatibility layer), [`report`] (figure/series containers with CSV and
+//! grid-parallel runner), [`report`] (figure/series containers with CSV and
 //! Markdown output) and [`config`] (quick / paper-scale presets). The
 //! `reproduce` binary drives everything and writes the artefacts consumed
 //! by `EXPERIMENTS.md`.
@@ -72,10 +71,8 @@
 pub mod config;
 pub mod experiments;
 pub mod report;
-pub mod runner;
 pub mod scenario;
 
 pub use config::EvalConfig;
 pub use report::{FigureReport, Series};
-pub use runner::{EvalContext, ScoreSet};
 pub use scenario::{ScenarioRunner, ScenarioSpec, SubstrateCache};

@@ -306,11 +306,6 @@ impl ScenarioSpec {
         self.accumulator = accumulator;
         self
     }
-
-    /// Total number of attacked-victim trials the scenario will simulate.
-    pub fn total_trials(&self) -> usize {
-        self.deployments.len() * self.grid.len() * self.sampling.total_victims()
-    }
 }
 
 #[cfg(test)]

@@ -344,3 +344,73 @@ impl SubstrateCache {
         self.len() == 0
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::EvalConfig;
+    use crate::scenario::spec::AttackMix;
+    use lad_attack::AttackClass;
+
+    fn substrate() -> Substrate {
+        let base = EvalConfig::bench();
+        Substrate::new(
+            &base.deployment_axis("test"),
+            &base.sampling_plan(),
+            AccumulatorConfig::exact(),
+        )
+    }
+
+    fn dec_bounded(fraction: f64) -> CellParams {
+        CellParams {
+            metric: MetricKind::Diff,
+            attack: AttackMix::pure(AttackClass::DecBounded),
+            damage: 120.0,
+            fraction,
+        }
+    }
+
+    #[test]
+    fn clean_scores_are_collected_for_all_metrics() {
+        let substrate = substrate();
+        for metric in MetricKind::ALL {
+            let scores = substrate
+                .clean(metric)
+                .exact_scores()
+                .expect("exact layout");
+            assert!(!scores.is_empty());
+            assert!(scores.iter().all(|s| s.is_finite() && *s >= 0.0));
+        }
+        assert_eq!(
+            substrate.clean_error_summary().count as u64,
+            substrate.clean(MetricKind::Diff).count(),
+            "one localization error per clean score"
+        );
+    }
+
+    #[test]
+    fn nearby_fractions_use_distinct_seed_streams() {
+        // Regression: seeds were once derived from `(fraction * 1e6) as u64`,
+        // which collides for fractions closer than 1e-6; `to_bits` keeps the
+        // streams distinct.
+        let substrate = substrate();
+        let exact = AccumulatorConfig::exact();
+        let a = substrate.collect_attacked(&dec_bounded(0.1), exact);
+        let b = substrate.collect_attacked(&dec_bounded(0.1 + 1e-9), exact);
+        assert_eq!(a.count() as usize, EvalConfig::bench().total_victims());
+        assert_eq!(a, substrate.collect_attacked(&dec_bounded(0.1), exact));
+        assert_ne!(a, b, "nearby fractions must not share trial seeds");
+    }
+
+    #[test]
+    fn victims_are_sampled_without_replacement() {
+        let substrate = substrate();
+        let network = &substrate.networks()[0];
+        let ids = sample_node_ids(network, network.node_count() / 2, 77);
+        let mut seen = std::collections::HashSet::new();
+        assert!(ids.iter().all(|id| seen.insert(*id)), "duplicates sampled");
+        // Oversampling returns every node exactly once.
+        let all = sample_node_ids(network, network.node_count() * 3, 77);
+        assert_eq!(all.len(), network.node_count());
+    }
+}

@@ -67,7 +67,7 @@ pub mod prelude {
     };
     pub use lad_core::{
         AddAllMetric, DetectionMetric, DetectionRequest, DiffMetric, EngineArtifact, EngineError,
-        LadDetector, LadEngine, LadEngineBuilder, MetricKind, MultiVerdict, ProbabilityMetric,
+        LadEngine, LadEngineBuilder, MetricKind, MultiVerdict, ProbabilityMetric,
         TrainedThresholds, Trainer, TrainingConfig, Verdict,
     };
     pub use lad_deployment::{DeploymentConfig, DeploymentKnowledge, GzTable};
@@ -75,12 +75,12 @@ pub mod prelude {
         AttackMix, DeploymentAxis, LocalizerChoice, ParamGrid, SamplingPlan, ScenarioRunner,
         ScenarioSpec, SubstrateCache,
     };
-    pub use lad_eval::{EvalConfig, EvalContext};
+    pub use lad_eval::EvalConfig;
     pub use lad_geometry::{Point2, Rect};
     pub use lad_localization::{
         BeaconlessMle, CentroidLocalizer, DvHopLocalizer, LocalizationScheme, Localizer,
     };
-    pub use lad_net::{GroupId, Network, NodeId, Observation};
+    pub use lad_net::{GroupId, Network, NodeId, Observation, ObservationBatch};
     pub use lad_response::{
         AlarmJournal, ClusterQuarantine, ResponseConfig, ResponseController, RevocationList,
         RevocationPolicy, SuspectScorer, ThresholdRevoke,
@@ -110,7 +110,7 @@ mod tests {
         let knowledge = DeploymentKnowledge::shared(&config);
         let network = Network::generate(knowledge.clone(), 1);
         assert_eq!(network.group_count(), config.group_count());
-        let detector = LadDetector::new(MetricKind::Diff, 25.0);
-        assert_eq!(detector.metric(), MetricKind::Diff);
+        let rows = ObservationBatch::new(network.group_count());
+        assert!(rows.is_empty());
     }
 }

@@ -63,17 +63,6 @@ impl Network {
         }
     }
 
-    /// Builds a network from pre-existing nodes (used by tests and by
-    /// scenarios that need hand-crafted topologies).
-    pub fn from_nodes(knowledge: Arc<DeploymentKnowledge>, nodes: Vec<SensorNode>) -> Self {
-        let index = Self::build_index(&knowledge, &nodes);
-        Self {
-            knowledge,
-            nodes,
-            index,
-        }
-    }
-
     fn build_index(knowledge: &DeploymentKnowledge, nodes: &[SensorNode]) -> GridIndex {
         let points: Vec<Point2> = nodes.iter().map(|n| n.resident_point).collect();
         // Cell size = transmission range keeps range queries to a 3×3 block.

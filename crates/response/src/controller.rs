@@ -312,15 +312,11 @@ impl ResponseSnapshot {
 /// Replays `detector` over clean per-node score streams (population
 /// order, as produced by `TrafficModel::score_streams`) and returns each
 /// node's *alarm rounds* — the clean alarm streams revocation budgets are
-/// calibrated against ([`ThresholdRevoke::calibrate`]). `reset_on_alarm`
-/// must match the serving configuration for the replay to be faithful.
+/// calibrated against ([`ThresholdRevoke::calibrate`]). A node's state
+/// resets after each alarm, exactly as the serving shards reset it.
 ///
 /// [`ThresholdRevoke::calibrate`]: crate::ThresholdRevoke::calibrate
-pub fn clean_alarm_rounds(
-    detector: &SequentialDetector,
-    streams: &[Vec<f64>],
-    reset_on_alarm: bool,
-) -> Vec<Vec<u64>> {
+pub fn clean_alarm_rounds(detector: &SequentialDetector, streams: &[Vec<f64>]) -> Vec<Vec<u64>> {
     streams
         .iter()
         .map(|stream| {
@@ -329,9 +325,7 @@ pub fn clean_alarm_rounds(
             for (round, &score) in stream.iter().enumerate() {
                 if detector.update(&mut state, score) {
                     rounds.push(round as u64);
-                    if reset_on_alarm {
-                        detector.reset(&mut state);
-                    }
+                    detector.reset(&mut state);
                 }
             }
             rounds
@@ -472,12 +466,9 @@ mod tests {
             threshold: 2.0,
         };
         let streams = vec![vec![0.0, 4.0, 0.0, 4.0, 4.0], vec![0.0; 5]];
-        let rounds = clean_alarm_rounds(&detector, &streams, true);
+        let rounds = clean_alarm_rounds(&detector, &streams);
         // Stream 0: s=0,3(alarm,reset),0,3(alarm,reset),3(alarm).
         assert_eq!(rounds[0], vec![1, 3, 4]);
         assert!(rounds[1].is_empty());
-        // Without reset the accumulated sum keeps firing.
-        let no_reset = clean_alarm_rounds(&detector, &streams, false);
-        assert!(no_reset[0].len() >= rounds[0].len());
     }
 }

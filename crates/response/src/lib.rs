@@ -54,7 +54,7 @@
 //! use lad_core::engine::LadEngine;
 //! use lad_core::MetricKind;
 //! use lad_deployment::DeploymentConfig;
-//! use lad_net::{Network, NodeId};
+//! use lad_net::{Network, NodeId, ObservationBatch};
 //! use lad_response::{ResponseConfig, ResponseController, ThresholdRevoke};
 //! use lad_serve::{AttackTimeline, ServeConfig, ServeRuntime, TrafficModel};
 //! use lad_stats::SequentialDetector;
@@ -78,7 +78,7 @@
 //! // Budget calibrated on the detector's *clean* alarm behaviour, so
 //! // honest nodes rarely accumulate enough suspicion to be revoked.
 //! let policy = ThresholdRevoke::calibrate(
-//!     &lad_response::clean_alarm_rounds(&detector, &streams, true),
+//!     &lad_response::clean_alarm_rounds(&detector, &streams),
 //!     20,
 //!     ResponseConfig::default(),
 //!     0.01,
@@ -101,9 +101,10 @@
 //!     },
 //!     0.3,
 //! );
+//! let (mut ids, mut rows) = (Vec::new(), ObservationBatch::new(0));
 //! for round in 0..16 {
-//!     let batch = traffic.round(&network, round);
-//!     runtime.submit_batch(round, batch);
+//!     traffic.round_rows(&network, round, &mut ids, &mut rows);
+//!     runtime.submit_rows(round, &ids, &rows);
 //!     let outcome = controller.step(&runtime, round);
 //!     // Close the loop: revoked attackers fall silent.
 //!     traffic.revoke_nodes(&outcome.newly_revoked, round + 1);

@@ -15,7 +15,7 @@
 //!   `{stage="score",quantile="p99"}` — one metric, [`Stage::ALL`]-order
 //!   series;
 //! * the health verdict exports both a severity gauge
-//!   (`lad_health_status`: 0 healthy … 3 drifting) and one
+//!   (`lad_health_status`: 0 healthy, 1 overloaded, 2 drifting) and one
 //!   `lad_health_cause{cause="..."}` sample per firing cause, so an
 //!   alerting rule can match either the level or the specific cause.
 

@@ -9,7 +9,7 @@
 //! volume:
 //!
 //! ```text
-//!             submit_batch(round, reports)
+//!       submit_rows(round, nodes, CSR rows)
 //!                        │
 //!              ResponseFilter (revoked node /
 //!              quarantined region ⇒ suppressed
@@ -34,9 +34,11 @@
 //! ```
 //!
 //! * [`ServeRuntime`] — the runtime itself: worker shards over bounded
-//!   channels, per-node detector state keyed by [`lad_net::NodeId`],
-//!   batched ingestion through the engine's sequential CSR-row kernel
-//!   (scoring only the decision metric the sequential rule reads), an alarm
+//!   channels, per-node detector state keyed by [`lad_net::NodeId`], one
+//!   ingest entry point ([`ServeRuntime::submit_rows`]: flat CSR
+//!   [`lad_net::ObservationBatch`] rows) scored through the engine's
+//!   sequential CSR-row kernel (scoring only the decision metric the
+//!   sequential rule reads), an alarm
 //!   output stream, live [`ServeCounters`], graceful shutdown, versioned
 //!   [`ServeSnapshot`] save/restore of all detector state **and** undrained
 //!   alarms (v2), and a pluggable [`ResponseFilter`] hook that suppresses
@@ -52,8 +54,8 @@
 //!
 //! For ingest across a process boundary, the `lad_wire` crate puts a
 //! framed binary front door (TCP / Unix-domain, validate-once decoding,
-//! explicit rate-limit → shed → accept overload policy) in front of
-//! [`ServeRuntime::submit_rows`]; the `shed` / `decode_errors` members of
+//! explicit rate-limit → shed → accept overload policy) in front of the
+//! same [`ServeRuntime::submit_rows`]; the `shed` / `decode_errors` members of
 //! [`ServeCounters`] are fed by that path.
 //!
 //! Alarm decisions are **bit-deterministic in the shard count**: routing is
@@ -68,7 +70,7 @@
 //! use lad_core::engine::LadEngine;
 //! use lad_core::MetricKind;
 //! use lad_deployment::DeploymentConfig;
-//! use lad_net::Network;
+//! use lad_net::{Network, ObservationBatch};
 //! use lad_serve::{AttackTimeline, ServeConfig, ServeRuntime, TrafficModel};
 //! use lad_stats::SequentialDetector;
 //! use lad_attack::{AttackClass, AttackConfig};
@@ -110,8 +112,11 @@
 //!     },
 //!     0.5,
 //! );
+//! // Each round is generated into reusable flat buffers and submitted.
+//! let (mut ids, mut rows) = (Vec::new(), ObservationBatch::new(0));
 //! for round in 0..20 {
-//!     runtime.submit_batch(round, traffic.round(&network, round));
+//!     traffic.round_rows(&network, round, &mut ids, &mut rows);
+//!     runtime.submit_rows(round, &ids, &rows);
 //! }
 //! let report = runtime.shutdown();
 //! assert!(report.alarms.iter().any(|a| a.round >= 10), "attack detected");

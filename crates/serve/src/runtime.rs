@@ -7,17 +7,17 @@
 //!
 //! * a bounded ingest queue (`std::sync::mpsc::sync_channel`, capacity
 //!   [`ServeConfig::queue_depth`] batches — a full queue blocks
-//!   [`ServeRuntime::submit_batch`], which is the backpressure story:
+//!   [`ServeRuntime::submit_rows`], which is the backpressure story:
 //!   ingestion can never outrun detection by more than the configured
 //!   number of in-flight batches per shard),
 //! * the per-node [`SequentialState`] map of its node partition, and
 //! * a clone of the shared [`LadEngine`].
 //!
-//! [`ServeRuntime::submit_rows`] partitions a round's reports — flat CSR
-//! [`ObservationBatch`] rows, no per-report heap objects — by [`shard_of`]
-//! (a pure hash of the node id: no coordination, no rebalancing) and hands
-//! each shard its partition. The shard scores its partition with the
-//! engine's sequential CSR-row kernel
+//! [`ServeRuntime::submit_rows`], the one ingest entry point, partitions a
+//! round's reports — flat CSR [`ObservationBatch`] rows, no per-report heap
+//! objects — by [`shard_of`] (a pure hash of the node id: no coordination,
+//! no rebalancing) and hands each shard its partition. The shard scores
+//! its partition with the engine's sequential CSR-row kernel
 //! ([`LadEngine::score_rows_seq_one_cached_into`]) **on its own thread** —
 //! scoring work scales with the shard count instead of funnelling through
 //! a central pool. It scores only the configured decision metric, the one
@@ -30,7 +30,7 @@
 
 use crate::drift::{DriftMonitorConfig, DriftSnapshot};
 use crate::snapshot::{NodeDetectorState, ServeError, ServeSnapshot, SNAPSHOT_VERSION};
-use lad_core::engine::{DetectionRequest, LadEngine};
+use lad_core::engine::LadEngine;
 use lad_core::MetricKind;
 use lad_deployment::MuCache;
 use lad_geometry::{Circle, Point2};
@@ -62,18 +62,18 @@ pub fn shard_of(node: NodeId, shards: usize) -> usize {
 pub struct ServeConfig {
     /// Number of worker shards (≥ 1).
     pub shards: usize,
-    /// Bounded ingest-queue capacity per shard, in batches (≥ 1). A full
-    /// queue blocks `submit_batch` — backpressure instead of unbounded
-    /// buffering.
+    /// Bounded ingest-queue capacity per shard, in batches (≥ 1): one
+    /// [`ServeRuntime::submit_rows`] call enqueues at most one batch per
+    /// shard. A full queue blocks `submit_rows` — backpressure instead of
+    /// unbounded buffering.
     pub queue_depth: usize,
     /// The engine metric whose score drives the sequential decision.
     pub metric: MetricKind,
-    /// The sequential decision rule every node runs.
+    /// The sequential decision rule every node runs. A node's state is
+    /// reset after it alarms, so a persistent anomaly re-alarms at the
+    /// detector's cadence instead of every round and a cleaned node starts
+    /// fresh — the semantics `SequentialDetector::calibrate_*` replays.
     pub detector: SequentialDetector,
-    /// Reset a node's state after it alarms (so a persistent anomaly
-    /// re-alarms at the detector's cadence instead of every round, and a
-    /// cleaned node starts fresh). Defaults to `true`.
-    pub reset_on_alarm: bool,
     /// Capacity (in estimates) of each shard's µ-memoization cache
     /// ([`MuCache`]); `0` disables caching. The cache is derived state —
     /// per shard, never serialized, rebuilt empty on start/restore — and
@@ -114,14 +114,13 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A single-shard configuration with the given decision metric and
-    /// rule (queue depth 4, reset-on-alarm, 16384-estimate µ cache).
+    /// rule (queue depth 4, 16384-estimate µ cache).
     pub fn new(metric: MetricKind, detector: SequentialDetector) -> Self {
         Self {
             shards: 1,
             queue_depth: 4,
             metric,
             detector,
-            reset_on_alarm: true,
             mu_cache_capacity: 16384,
             telemetry: true,
             monitor: None,
@@ -169,12 +168,6 @@ impl ServeConfig {
     pub fn with_stats_window(mut self, window_nanos: u64, capacity: usize) -> Self {
         self.stats_window_nanos = window_nanos;
         self.stats_window_capacity = capacity;
-        self
-    }
-
-    /// Returns a copy that keeps detector state across alarms.
-    pub fn keep_state_on_alarm(mut self) -> Self {
-        self.reset_on_alarm = false;
         self
     }
 }
@@ -579,7 +572,6 @@ impl ServeRuntime {
                 engine: engine.clone(),
                 detector: config.detector,
                 metric: config.metric,
-                reset_on_alarm: config.reset_on_alarm,
                 mu_cache_capacity: config.mu_cache_capacity,
                 alarm_tx: alarm_tx.clone(),
                 counters: counters.clone(),
@@ -621,7 +613,7 @@ impl ServeRuntime {
     }
 
     /// Installs (replaces) the response filter. Subsequent
-    /// [`Self::submit_rows`] / [`Self::submit_batch`] calls suppress
+    /// [`Self::submit_rows`] calls suppress
     /// reports from revoked nodes and reports claiming a quarantined
     /// position before they reach a shard; in-flight batches are not
     /// re-filtered. Counted in [`ServeCounters::suppressed`]; per-region
@@ -667,32 +659,15 @@ impl ServeRuntime {
         )
     }
 
-    /// Submits one round of reports. The batch is partitioned by
-    /// [`shard_of`] and handed to the shards; the call blocks while any
-    /// destination shard's queue is full (backpressure). Rounds must be
-    /// submitted in nondecreasing order for the per-node decision sequences
-    /// to be meaningful.
-    ///
-    /// Convenience wrapper over [`Self::submit_rows`] for callers holding
-    /// per-report `DetectionRequest`s; the flat-row entry point avoids the
-    /// per-report heap objects entirely.
-    pub fn submit_batch(&self, round: u64, batch: Vec<(NodeId, DetectionRequest)>) {
-        let group_count = self.group_count;
-        let mut nodes = Vec::with_capacity(batch.len());
-        let mut rows = ObservationBatch::new(group_count);
-        for (node, request) in &batch {
-            nodes.push(*node);
-            rows.push(&request.observation, request.estimate);
-        }
-        self.submit_rows(round, &nodes, &rows);
-    }
-
     /// Submits one round of reports as flat CSR rows: `nodes[i]` reported
-    /// `rows.row(i)`. Reports suppressed by the installed
-    /// [`ResponseFilter`] (revoked node / quarantined claimed position) are
-    /// dropped here — on the submitting thread, as a pure function of
-    /// `(node, estimate)`, so suppression is bit-deterministic in the shard
-    /// count and never costs a shard any scoring work. The surviving rows
+    /// `rows.row(i)`. Rounds must be submitted in nondecreasing order for
+    /// the per-node decision sequences to be meaningful.
+    ///
+    /// Reports suppressed by the installed [`ResponseFilter`] (revoked node
+    /// / quarantined claimed position) are dropped here — on the submitting
+    /// thread, as a pure function of `(node, estimate)`, so suppression is
+    /// bit-deterministic in the shard count and never costs a shard any
+    /// scoring work. The surviving rows
     /// are partitioned by [`shard_of`] into per-shard
     /// [`ObservationBatch`]es (flat copies — the only per-call allocations
     /// are the per-shard batch buffers handed over the queues), and the
@@ -1212,7 +1187,6 @@ struct ShardWorker {
     engine: Arc<LadEngine>,
     detector: SequentialDetector,
     metric: MetricKind,
-    reset_on_alarm: bool,
     /// Capacity of this shard's µ cache; 0 disables memoization.
     mu_cache_capacity: usize,
     alarm_tx: Sender<Alarm>,
@@ -1230,6 +1204,9 @@ impl ShardWorker {
     fn run(mut self, rx: Receiver<ShardMsg>) -> Vec<NodeDetectorState> {
         let mut states: HashMap<u32, SequentialState> = HashMap::new();
         let mut scores: Vec<f64> = Vec::new();
+        // A batch's non-alarming scores, binned into the drift monitor in
+        // one `extend` call per batch.
+        let mut clean_scores: Vec<f64> = Vec::new();
         // Batches folded so far, for the fold-time queue-depth gauge.
         let mut folded_batches = 0u64;
         // The shard's µ-memoization cache — derived state, owned by the
@@ -1301,8 +1278,8 @@ impl ShardWorker {
                             // the clean-score substrate, with attack rounds
                             // excluded so an attack cannot poison the
                             // "recalibrate" verdict.
-                            if let Some(acc) = self.drift_acc.as_mut() {
-                                acc.add(score);
+                            if self.drift_acc.is_some() {
+                                clean_scores.push(score);
                             }
                         } else {
                             self.counters.alarms.fetch_add(1, Ordering::Relaxed);
@@ -1320,10 +1297,11 @@ impl ShardWorker {
                                 statistic: self.detector.statistic(state),
                                 estimate: rows.estimate(i),
                             });
-                            if self.reset_on_alarm {
-                                self.detector.reset(state);
-                            }
+                            self.detector.reset(state);
                         }
+                    }
+                    if let Some(acc) = self.drift_acc.as_mut() {
+                        acc.extend(clean_scores.drain(..));
                     }
                     update_span.stop();
                     // Release pairs with the Acquire loads in
@@ -1409,10 +1387,27 @@ mod tests {
         (clean, attacked)
     }
 
-    fn run_rounds(runtime: &ServeRuntime, model: &TrafficModel, network: &Network, rounds: u64) {
-        for round in 0..rounds {
-            runtime.submit_batch(round, model.round(network, round));
+    fn run_rounds(
+        runtime: &ServeRuntime,
+        model: &TrafficModel,
+        network: &Network,
+        rounds: std::ops::Range<u64>,
+    ) {
+        let (mut nodes, mut rows) = (Vec::new(), ObservationBatch::new(0));
+        for round in rounds {
+            model.round_rows(network, round, &mut nodes, &mut rows);
+            runtime.submit_rows(round, &nodes, &rows);
         }
+    }
+
+    /// Submits one report of node `node` (all-zero observation) at round 0.
+    fn submit_one(runtime: &ServeRuntime, engine: &LadEngine, node: u32) {
+        let mut rows = ObservationBatch::new(engine.knowledge().group_count());
+        rows.push(
+            &lad_net::Observation::zeros(engine.knowledge().group_count()),
+            Point2::new(100.0, 100.0),
+        );
+        runtime.submit_rows(0, &[NodeId(node)], &rows);
     }
 
     #[test]
@@ -1427,7 +1422,7 @@ mod tests {
             ServeConfig::new(MetricKind::Diff, detector).with_shards(3),
         )
         .unwrap();
-        run_rounds(&runtime, &attacked, &network, 14);
+        run_rounds(&runtime, &attacked, &network, 0..14);
         let mut alarms: Vec<(u32, u64)> = runtime
             .drain_alarms()
             .into_iter()
@@ -1475,7 +1470,7 @@ mod tests {
 
         // Reference: one uninterrupted run.
         let reference = ServeRuntime::start(engine.clone(), config.clone()).unwrap();
-        run_rounds(&reference, &attacked, &network, 12);
+        run_rounds(&reference, &attacked, &network, 0..12);
         let mut ref_alarms: Vec<(u32, u64)> = reference
             .drain_alarms()
             .into_iter()
@@ -1487,7 +1482,7 @@ mod tests {
         // Interrupted: run 7 rounds, snapshot to JSON, restore into a fresh
         // runtime with a *different* shard count, run the rest.
         let first = ServeRuntime::start(engine.clone(), config.clone()).unwrap();
-        run_rounds(&first, &attacked, &network, 7);
+        run_rounds(&first, &attacked, &network, 0..7);
         let mut alarms: Vec<(u32, u64)> = first
             .drain_alarms()
             .into_iter()
@@ -1499,9 +1494,7 @@ mod tests {
         let resumed = ServeSnapshot::from_json(&json).expect("snapshot parses");
         let second = ServeRuntime::start(engine.clone(), config.with_shards(5)).unwrap();
         second.restore(&resumed).expect("snapshot restores");
-        for round in 7..12 {
-            second.submit_batch(round, attacked.round(&network, round));
-        }
+        run_rounds(&second, &attacked, &network, 7..12);
         alarms.extend(
             second
                 .drain_alarms()
@@ -1568,14 +1561,7 @@ mod tests {
         // Restoring over live state would merge two traffic histories:
         // rejected once anything has been ingested.
         let valid = runtime.snapshot();
-        let obs = lad_net::Observation::zeros(engine.knowledge().group_count());
-        runtime.submit_batch(
-            0,
-            vec![(
-                NodeId(0),
-                DetectionRequest::new(obs, lad_geometry::Point2::new(100.0, 100.0)),
-            )],
-        );
+        submit_one(&runtime, &engine, 0);
         runtime.sync();
         assert!(matches!(
             runtime.restore(&valid),
@@ -1634,7 +1620,7 @@ mod tests {
                 .with_queue_depth(1),
         )
         .unwrap();
-        run_rounds(&runtime, &clean, &network, 20);
+        run_rounds(&runtime, &clean, &network, 0..20);
         runtime.sync();
         let counters = runtime.counters();
         assert_eq!(counters.queue_depth(), 0);
@@ -1652,14 +1638,7 @@ mod tests {
         let runtime =
             ServeRuntime::start(engine.clone(), ServeConfig::new(MetricKind::Diff, detector))
                 .unwrap();
-        let obs = lad_net::Observation::zeros(engine.knowledge().group_count());
-        runtime.submit_batch(
-            0,
-            vec![(
-                NodeId(7),
-                DetectionRequest::new(obs, lad_geometry::Point2::new(100.0, 100.0)),
-            )],
-        );
+        submit_one(&runtime, &engine, 7);
         runtime.record_shed(5);
         runtime.record_decode_error();
         runtime.sync();

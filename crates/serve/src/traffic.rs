@@ -20,7 +20,7 @@
 //! rely on this.
 
 use lad_attack::{displaced_location, taint_observation, AttackConfig, Evasion};
-use lad_core::engine::{DetectionRequest, LadEngine};
+use lad_core::engine::LadEngine;
 use lad_core::MetricKind;
 use lad_geometry::Point2;
 use lad_net::{Network, NodeId, Observation, ObservationBatch};
@@ -448,8 +448,7 @@ impl TrafficModel {
     /// Calls `report(node, observation, estimate)` for every reporter's
     /// report of `round`, in population order, reusing one thinning scratch
     /// observation (and one µ scratch for attacked reports) across the
-    /// whole round — the allocation-free core both [`Self::round`] and
-    /// [`Self::round_rows`] drive.
+    /// whole round — the allocation-free core of [`Self::round_rows`].
     fn for_each_report<F: FnMut(NodeId, &Observation, Point2)>(
         &self,
         network: &Network,
@@ -522,25 +521,12 @@ impl TrafficModel {
         }
     }
 
-    /// Generates one round of reports, in population order. `network` must
-    /// be the network the model was built from (attacked reports re-run the
-    /// §7.1 simulation against it).
-    ///
-    /// Allocates one `DetectionRequest` (with its dense observation) per
-    /// report; the serving path uses [`Self::round_rows`], which emits a
-    /// flat [`ObservationBatch`] instead.
-    pub fn round(&self, network: &Network, round: u64) -> Vec<(NodeId, DetectionRequest)> {
-        let mut out = Vec::with_capacity(self.reporters.len());
-        self.for_each_report(network, round, |node, observation, estimate| {
-            out.push((node, DetectionRequest::new(observation.clone(), estimate)));
-        });
-        out
-    }
-
     /// Generates one round of reports into reusable flat buffers: the
     /// reporting nodes (population order) and their `(sparse observation,
-    /// estimate)` rows. After warm-up the honest-traffic path performs no
-    /// per-report allocation — this is what the serving loop submits via
+    /// estimate)` rows. `network` must be the network the model was built
+    /// from (attacked reports re-run the §7.1 simulation against it). After
+    /// warm-up the honest-traffic path performs no per-report allocation —
+    /// this is what the serving loop submits via
     /// [`ServeRuntime::submit_rows`](crate::ServeRuntime::submit_rows).
     pub fn round_rows(
         &self,
@@ -647,16 +633,27 @@ mod tests {
         TrafficModel::clean(network, engine, nodes, 0xBEEF)
     }
 
+    /// One round's `round_rows` output in fresh buffers.
+    fn rows(
+        model: &TrafficModel,
+        network: &Network,
+        round: u64,
+    ) -> (Vec<NodeId>, ObservationBatch) {
+        let (mut nodes, mut rows) = (Vec::new(), ObservationBatch::new(0));
+        model.round_rows(network, round, &mut nodes, &mut rows);
+        (nodes, rows)
+    }
+
     #[test]
     fn rounds_are_deterministic_and_vary_round_to_round() {
         let engine = engine();
         let network = Network::generate(engine.knowledge().clone(), 3);
         let model = model(&engine, &network);
         assert!(!model.nodes().is_empty());
-        let a = model.round(&network, 5);
-        let b = model.round(&network, 5);
+        let a = rows(&model, &network, 5);
+        let b = rows(&model, &network, 5);
         assert_eq!(a, b, "same round twice is bit-identical");
-        let c = model.round(&network, 6);
+        let c = rows(&model, &network, 6);
         assert_ne!(a, c, "radio loss varies between rounds");
     }
 
@@ -680,15 +677,20 @@ mod tests {
             .filter(|&n| attacked.is_attacked(n, 10))
             .collect();
         assert_eq!(hostile.len(), attacked.compromised_count());
-        let pre = attacked.round(&network, 9);
-        let clean_round = clean.round(&network, 9);
-        assert_eq!(pre, clean_round, "pre-onset traffic is exactly clean");
-        let post = attacked.round(&network, 10);
-        for ((node, clean_req), (_, post_req)) in clean.round(&network, 10).iter().zip(&post) {
+        assert_eq!(
+            rows(&attacked, &network, 9),
+            rows(&clean, &network, 9),
+            "pre-onset traffic is exactly clean"
+        );
+        let (nodes, post) = rows(&attacked, &network, 10);
+        let (clean_nodes, clean_round) = rows(&clean, &network, 10);
+        assert_eq!(nodes, clean_nodes);
+        for (i, node) in nodes.iter().enumerate() {
             if attacked.is_attacked(*node, 10) {
-                assert_ne!(clean_req.estimate, post_req.estimate, "forged location");
+                assert_ne!(clean_round.estimate(i), post.estimate(i), "forged location");
             } else {
-                assert_eq!(clean_req, post_req, "clean nodes are untouched");
+                assert_eq!(clean_round.row(i), post.row(i), "clean nodes are untouched");
+                assert_eq!(clean_round.estimate(i), post.estimate(i));
             }
         }
     }
@@ -761,7 +763,7 @@ mod tests {
         let engine = engine();
         let network = Network::generate(engine.knowledge().clone(), 8);
         let frozen = model(&engine, &network).with_hear_prob(1.0);
-        assert_eq!(frozen.round(&network, 0), frozen.round(&network, 17));
+        assert_eq!(rows(&frozen, &network, 0), rows(&frozen, &network, 17));
     }
 
     #[test]
@@ -810,11 +812,11 @@ mod tests {
         );
         let population = traffic.nodes();
         let victim = population[0];
-        assert!(traffic.round(&network, 3).iter().any(|(n, _)| *n == victim));
+        assert!(rows(&traffic, &network, 3).0.contains(&victim));
 
         traffic.revoke_nodes(&[victim], 4);
-        let before: Vec<NodeId> = traffic.round(&network, 3).iter().map(|(n, _)| *n).collect();
-        let after: Vec<NodeId> = traffic.round(&network, 4).iter().map(|(n, _)| *n).collect();
+        let (before, _) = rows(&traffic, &network, 3);
+        let (after, _) = rows(&traffic, &network, 4);
         assert!(
             before.contains(&victim),
             "reports until the revocation round"
@@ -825,7 +827,7 @@ mod tests {
 
         // Re-revoking later does not resurrect the node.
         traffic.revoke_nodes(&[victim], 9);
-        assert!(!traffic.round(&network, 6).iter().any(|(n, _)| *n == victim));
+        assert!(!rows(&traffic, &network, 6).0.contains(&victim));
 
         // The other reporters are untouched, in population order.
         let expected: Vec<NodeId> = population
@@ -852,23 +854,20 @@ mod tests {
             .find(|&n| base.is_attacked(n, 0))
             .expect("attackers exist");
         let forged_of = |traffic: &TrafficModel, round| {
-            traffic
-                .round(&network, round)
-                .into_iter()
-                .find(|(n, _)| *n == attacker)
-                .map(|(_, req)| req.estimate)
-                .unwrap()
+            let (nodes, batch) = rows(traffic, &network, round);
+            let i = nodes.iter().position(|&n| n == attacker).unwrap();
+            batch.estimate(i)
         };
 
         // Without a notice the evasion model is bit-identical to open loop.
-        assert_eq!(base.round(&network, 2), rotating.round(&network, 2));
+        assert_eq!(rows(&base, &network, 2), rows(&rotating, &network, 2));
         let original = forged_of(&rotating, 2);
         rotating.notify_quarantine(&[attacker], 3);
         let rotated = forged_of(&rotating, 3);
         assert_ne!(original, rotated, "rotation abandons the burnt forgery");
         assert_eq!(
-            base.round(&network, 2),
-            rotating.round(&network, 2),
+            rows(&base, &network, 2),
+            rows(&rotating, &network, 2),
             "pre-notice rounds replay exactly as they were served"
         );
         assert_eq!(
@@ -913,9 +912,6 @@ mod tests {
             "one attacked round per cycle from the notice round"
         );
         // Honest rounds still produce a (clean) report.
-        assert!(bursty
-            .round(&network, 9)
-            .iter()
-            .any(|(n, _)| *n == attacker));
+        assert!(rows(&bursty, &network, 9).0.contains(&attacker));
     }
 }

@@ -200,27 +200,6 @@ impl SequentialDetector {
         let pooled = pool(&streams);
         let reference = percentile::quantile(&pooled, CUSUM_REFERENCE_QUANTILE)
             .expect("calibration needs at least one clean score");
-        Self::calibrate_cusum_with_reference_inner(&streams, target_far, reference)
-    }
-
-    /// Like [`Self::calibrate_cusum`] with an explicit drift reference.
-    pub fn calibrate_cusum_with_reference<'a, I>(
-        clean_streams: I,
-        target_far: f64,
-        reference: f64,
-    ) -> Self
-    where
-        I: IntoIterator<Item = &'a [f64]>,
-    {
-        let streams: Vec<&[f64]> = clean_streams.into_iter().collect();
-        Self::calibrate_cusum_with_reference_inner(&streams, target_far, reference)
-    }
-
-    fn calibrate_cusum_with_reference_inner(
-        streams: &[&[f64]],
-        target_far: f64,
-        reference: f64,
-    ) -> Self {
         let probe = SequentialDetector::Cusum {
             reference,
             threshold: f64::INFINITY,
@@ -230,8 +209,8 @@ impl SequentialDetector {
                 reference,
                 threshold,
             },
-            replay(&probe, streams),
-            streams,
+            replay(&probe, &streams),
+            &streams,
             target_far,
         );
         SequentialDetector::Cusum {

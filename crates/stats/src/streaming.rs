@@ -81,19 +81,25 @@ impl AccumulatorConfig {
     /// The relative value resolution of the binned mode: scores whose ratio
     /// `(1+a)/(1+b)` is below `1 +` this value may share a bin.
     pub fn relative_resolution(&self) -> f64 {
-        ((1.0 + self.vmax).ln() / self.bins as f64).exp_m1()
+        (self.log_range() / self.bins as f64).exp_m1()
+    }
+
+    /// `ln(1 + vmax)`, the width of the log-domain range. Constant per
+    /// layout: callers binning many scores compute it once.
+    fn log_range(&self) -> f64 {
+        (1.0 + self.vmax).ln()
     }
 
     /// The bin index of `value` (interior bins only; the caller handles
-    /// underflow/overflow).
-    fn bin_of(&self, value: f64) -> usize {
-        let scaled = value.ln_1p() / (1.0 + self.vmax).ln() * self.bins as f64;
+    /// underflow/overflow). `log_range` is [`Self::log_range`].
+    fn bin_of(&self, value: f64, log_range: f64) -> usize {
+        let scaled = value.ln_1p() / log_range * self.bins as f64;
         (scaled as usize).min(self.bins - 1)
     }
 
     /// The lower edge of interior bin `i` (`i == bins` gives `vmax`).
     fn edge(&self, i: usize) -> f64 {
-        (i as f64 / self.bins as f64 * (1.0 + self.vmax).ln()).exp_m1()
+        (i as f64 / self.bins as f64 * self.log_range()).exp_m1()
     }
 }
 
@@ -178,44 +184,49 @@ impl ScoreAccumulator {
                 underflow: 0,
                 overflow: 0,
             };
+            let log_range = self.config.log_range();
             for v in values {
-                Self::bin_add(&self.config, &mut bins, v);
+                Self::bin_add(&self.config, &mut bins, v, log_range);
             }
             self.state = State::Binned(bins);
         }
     }
 
-    fn bin_add(config: &AccumulatorConfig, bins: &mut Bins, value: f64) {
+    fn bin_add(config: &AccumulatorConfig, bins: &mut Bins, value: f64, log_range: f64) {
         assert!(!value.is_nan(), "NaN score");
         if value < 0.0 {
             bins.underflow += 1;
         } else if value >= config.vmax {
             bins.overflow += 1;
         } else {
-            bins.counts[config.bin_of(value)] += 1;
+            bins.counts[config.bin_of(value, log_range)] += 1;
         }
     }
 
     /// Adds one score.
     pub fn add(&mut self, value: f64) {
-        match &mut self.state {
-            State::Exact(v) => {
-                assert!(!value.is_nan(), "NaN score");
-                if v.len() >= self.config.exact_limit {
-                    self.spill();
-                    self.add(value);
-                } else {
-                    v.push(value);
-                }
-            }
-            State::Binned(bins) => Self::bin_add(&self.config, bins, value),
-        }
+        self.extend(std::iter::once(value));
     }
 
-    /// Adds every score of `values`.
+    /// Adds every score of `values`, in order. Binning many scores in one
+    /// call is cheaper than one [`Self::add`] each: the layout's log range
+    /// is computed once per call, not once per score.
     pub fn extend<I: IntoIterator<Item = f64>>(&mut self, values: I) {
-        for v in values {
-            self.add(v);
+        let mut log_range = None;
+        for value in values {
+            if let State::Exact(v) = &mut self.state {
+                assert!(!value.is_nan(), "NaN score");
+                if v.len() < self.config.exact_limit {
+                    v.push(value);
+                    continue;
+                }
+                self.spill();
+            }
+            let State::Binned(bins) = &mut self.state else {
+                unreachable!("spill() leaves the accumulator binned");
+            };
+            let log_range = *log_range.get_or_insert_with(|| self.config.log_range());
+            Self::bin_add(&self.config, bins, value, log_range);
         }
     }
 
@@ -284,7 +295,7 @@ impl ScoreAccumulator {
                 } else if threshold >= self.config.vmax {
                     bins.overflow
                 } else {
-                    let from = self.config.bin_of(threshold);
+                    let from = self.config.bin_of(threshold, self.config.log_range());
                     bins.counts[from..].iter().sum::<u64>() + bins.overflow
                 };
                 above as f64 / total as f64
@@ -457,6 +468,22 @@ mod tests {
         assert!(!acc.is_exact());
         assert_eq!(acc.count(), 11);
         assert!(acc.exact_scores().is_none());
+    }
+
+    #[test]
+    fn extend_bins_exactly_like_one_add_per_score() {
+        // Crosses the spill limit mid-call; the hoisted log range must file
+        // every score into the bin a lone `add` would.
+        let values: Vec<f64> = (0..300).map(|i| (i as f64 * 1.37).powf(1.9)).collect();
+        let config = AccumulatorConfig {
+            exact_limit: 100,
+            ..AccumulatorConfig::default()
+        };
+        let mut one_by_one = ScoreAccumulator::new(config);
+        for &v in &values {
+            one_by_one.add(v);
+        }
+        assert_eq!(accumulate(config, &values), one_by_one);
     }
 
     #[test]

@@ -84,9 +84,9 @@ pub enum HealthCause {
     /// Queue backlog at or beyond the runtime's configured capacity —
     /// submitters are blocking on backpressure.
     QueueBacklog {
-        /// Reports sitting in shard queues.
+        /// Batches sitting in shard queues, summed over shards.
         depth: u64,
-        /// The depth at which backlog is called a backlog.
+        /// The depth, in batches, at which backlog is called a backlog.
         limit: u64,
     },
 }
@@ -137,9 +137,11 @@ pub struct HealthInputs {
     /// Reports shed in the most recent window (or overall when no window
     /// has closed yet).
     pub window_shed: u64,
-    /// Current queue depth in reports.
+    /// Current queue depth in batches, summed over shards (the serve
+    /// runtime feeds its per-shard batch gauges).
     pub queue_depth: u64,
-    /// Depth at which backlog counts as overload (0 disables the check).
+    /// Depth, in batches, at which backlog counts as overload (the serve
+    /// runtime uses `shards × queue_depth`; 0 disables the check).
     pub queue_limit: u64,
     /// Drift monitor verdict, when a monitor is configured and has
     /// evaluated: `(ks, tolerance)` with `ks > tolerance` meaning drift.

@@ -173,11 +173,6 @@ impl Telemetry {
         self.enabled
     }
 
-    /// Number of shard registries.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Shard `i`'s registry (for that shard's worker thread and the
     /// submitters stamping its queue counters).
     #[inline]

@@ -72,7 +72,7 @@ fn main() {
         ..ResponseConfig::default()
     };
     let revoke = ThresholdRevoke::calibrate(
-        &clean_alarm_rounds(&detector, &streams, true),
+        &clean_alarm_rounds(&detector, &streams),
         warmup,
         response_config,
         target_collateral,
@@ -134,18 +134,19 @@ fn main() {
     let mut lifted = 0usize;
     let serve_from = warmup;
     let half_way = onset + horizon / 2;
+    let (mut ids, mut rows) = (Vec::new(), ObservationBatch::new(0));
     for round in serve_from..onset + horizon {
-        let batch = traffic.round(&network, round);
+        traffic.round_rows(&network, round, &mut ids, &mut rows);
         let filter = runtime.response_filter();
-        for (node, request) in &batch {
+        for (i, &node) in ids.iter().enumerate() {
             if attackers.contains(&node.0)
-                && traffic.is_attacked(*node, round)
-                && !filter.suppresses(*node, request.estimate)
+                && traffic.is_attacked(node, round)
+                && !filter.suppresses(node, rows.estimate(i))
             {
                 last_effective.insert(node.0, round);
             }
         }
-        runtime.submit_batch(round, batch);
+        runtime.submit_rows(round, &ids, &rows);
         let outcome = controller.step(&runtime, round);
         for node in &outcome.newly_revoked {
             revocation_round.push((node.0, round));

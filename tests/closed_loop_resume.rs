@@ -50,8 +50,10 @@ fn undrained_alarms_survive_snapshot_and_restore() {
 
     // Reference: one uninterrupted run, drained at the end.
     let reference = ServeRuntime::start(engine.clone(), config.clone()).unwrap();
+    let (mut nodes, mut rows) = (Vec::new(), ObservationBatch::new(0));
     for round in 0..16 {
-        reference.submit_batch(round, attacked.round(&network, round));
+        attacked.round_rows(&network, round, &mut nodes, &mut rows);
+        reference.submit_rows(round, &nodes, &rows);
     }
     let mut ref_alarms: Vec<(u32, u64)> = reference.drain_alarms().iter().map(key).collect();
     ref_alarms.sort_unstable();
@@ -61,7 +63,8 @@ fn undrained_alarms_survive_snapshot_and_restore() {
     // Interrupted run: serve 9 rounds and snapshot WITHOUT draining.
     let first = ServeRuntime::start(engine.clone(), config.clone()).unwrap();
     for round in 0..9 {
-        first.submit_batch(round, attacked.round(&network, round));
+        attacked.round_rows(&network, round, &mut nodes, &mut rows);
+        first.submit_rows(round, &nodes, &rows);
     }
     let snapshot = first.snapshot();
     assert_eq!(snapshot.version, SNAPSHOT_VERSION);
@@ -91,7 +94,8 @@ fn undrained_alarms_survive_snapshot_and_restore() {
         "restore re-injects the pending alarms"
     );
     for round in 9..16 {
-        second.submit_batch(round, attacked.round(&network, round));
+        attacked.round_rows(&network, round, &mut nodes, &mut rows);
+        second.submit_rows(round, &nodes, &rows);
     }
     alarms.extend(second.drain_alarms().iter().map(key));
     alarms.sort_unstable();
@@ -115,8 +119,10 @@ fn shutdown_snapshot_carries_undrained_alarms() {
 
     let runtime =
         ServeRuntime::start(engine.clone(), ServeConfig::new(MetricKind::Diff, detector)).unwrap();
+    let (mut nodes, mut rows) = (Vec::new(), ObservationBatch::new(0));
     for round in 0..12 {
-        runtime.submit_batch(round, attacked.round(&network, round));
+        attacked.round_rows(&network, round, &mut nodes, &mut rows);
+        runtime.submit_rows(round, &nodes, &rows);
     }
     let report = runtime.shutdown();
     assert!(!report.alarms.is_empty(), "the attack must alarm");
@@ -146,6 +152,7 @@ fn response_controller_resumes_identically_mid_loop() {
         let mut traffic = attacked.clone();
         let mut controller =
             ResponseController::new(ResponseConfig::default()).with_policy(policy());
+        let (mut nodes, mut rows) = (Vec::new(), ObservationBatch::new(0));
         for round in 0..16 {
             if interrupt == Some(round) {
                 let json = controller.snapshot().to_json();
@@ -153,7 +160,8 @@ fn response_controller_resumes_identically_mid_loop() {
                 assert_eq!(snap.version, RESPONSE_SNAPSHOT_VERSION);
                 controller = ResponseController::from_snapshot(snap).with_policy(policy());
             }
-            runtime.submit_batch(round, traffic.round(&network, round));
+            traffic.round_rows(&network, round, &mut nodes, &mut rows);
+            runtime.submit_rows(round, &nodes, &rows);
             let outcome = controller.step(&runtime, round);
             if !outcome.newly_revoked.is_empty() {
                 traffic.revoke_nodes(&outcome.newly_revoked, round + 1);

@@ -111,8 +111,10 @@ proptest! {
                 .with_stats_window(0, 32),
         )
         .expect("runtime starts");
+        let (mut nodes, mut rows) = (Vec::new(), ObservationBatch::new(0));
         for round in 0..10u64 {
-            runtime.submit_batch(round, traffic.round(&s.network, round));
+            traffic.round_rows(&s.network, round, &mut nodes, &mut rows);
+            runtime.submit_rows(round, &nodes, &rows);
             runtime.sync();
             let verdict = runtime.refresh_drift();
             prop_assert!(
@@ -160,8 +162,10 @@ proptest! {
         .expect("runtime starts");
         let mut last_ks = 0.0;
         let mut flagged_at = None;
+        let (mut nodes, mut rows) = (Vec::new(), ObservationBatch::new(0));
         for round in 0..K {
-            runtime.submit_batch(round, traffic.round(&network, round));
+            traffic.round_rows(&network, round, &mut nodes, &mut rows);
+            runtime.submit_rows(round, &nodes, &rows);
             runtime.sync();
             let verdict = runtime.refresh_drift();
             last_ks = verdict.ks;
@@ -215,8 +219,10 @@ fn versioned_artifacts_reject_the_future_loudly() {
     )
     .expect("runtime starts");
     let traffic = TrafficModel::clean(&s.network, &s.engine, s.nodes.clone(), 0xBEEF);
+    let (mut nodes, mut rows) = (Vec::new(), ObservationBatch::new(0));
     for round in 0..3u64 {
-        runtime.submit_batch(round, traffic.round(&s.network, round));
+        traffic.round_rows(&s.network, round, &mut nodes, &mut rows);
+        runtime.submit_rows(round, &nodes, &rows);
     }
     runtime.sync();
     runtime.refresh_drift();

@@ -4,12 +4,24 @@
 //! hold.
 
 use lad::eval::experiments;
-use lad::eval::scenario::SubstrateCache;
-use lad::eval::{EvalConfig, EvalContext};
+use lad::eval::scenario::DeploymentResult;
 use lad::prelude::*;
+use lad::stats::AccumulatorConfig;
 
-fn context() -> EvalContext {
-    EvalContext::new(EvalConfig::bench())
+/// Runs `grid` exactly (no binning) on the reduced standard deployment;
+/// `cache` shares that deployment's substrate across calls.
+fn run_exact(grid: ParamGrid, cache: &SubstrateCache) -> DeploymentResult {
+    let base = EvalConfig::bench();
+    let spec = ScenarioSpec::new(
+        "smoke",
+        "smoke grid",
+        experiments::standard_axis(&base),
+        grid,
+        base.sampling_plan(),
+    )
+    .with_accumulator(AccumulatorConfig::exact());
+    let mut result = ScenarioRunner::with_cache(&spec, cache).run();
+    result.deployments.remove(0)
 }
 
 #[test]
@@ -73,20 +85,27 @@ fn all_experiments_produce_saveable_reports() {
 
 #[test]
 fn headline_claims_of_the_paper_hold_on_the_reduced_setup() {
-    let ctx = context();
+    let cache = SubstrateCache::new();
+    let dr = |class, degree, fraction, max_fp| {
+        let dep = run_exact(
+            ParamGrid::single(MetricKind::Diff, class, degree, fraction),
+            &cache,
+        );
+        dep.detection_rate(&dep.cells[0], max_fp)
+    };
 
     // Claim 1 (§7.6): detection rate approaches 1 as the degree of damage grows.
-    let dr_small = ctx.detection_rate(MetricKind::Diff, AttackClass::DecBounded, 40.0, 0.10, 0.05);
-    let dr_large = ctx.detection_rate(MetricKind::Diff, AttackClass::DecBounded, 160.0, 0.10, 0.05);
+    let dr_small = dr(AttackClass::DecBounded, 40.0, 0.10, 0.05);
+    let dr_large = dr(AttackClass::DecBounded, 160.0, 0.10, 0.05);
     assert!(dr_large >= dr_small);
     assert!(dr_large > 0.8, "DR at D=160 is only {dr_large}");
 
     // Claim 2 (§7.5): Dec-Only attacks are easier to detect than Dec-Bounded
     // attacks at small D, and the two converge at large D.
-    let small_gap = ctx.detection_rate(MetricKind::Diff, AttackClass::DecOnly, 40.0, 0.10, 0.10)
-        - ctx.detection_rate(MetricKind::Diff, AttackClass::DecBounded, 40.0, 0.10, 0.10);
-    let large_gap = ctx.detection_rate(MetricKind::Diff, AttackClass::DecOnly, 160.0, 0.10, 0.10)
-        - ctx.detection_rate(MetricKind::Diff, AttackClass::DecBounded, 160.0, 0.10, 0.10);
+    let small_gap =
+        dr(AttackClass::DecOnly, 40.0, 0.10, 0.10) - dr(AttackClass::DecBounded, 40.0, 0.10, 0.10);
+    let large_gap = dr(AttackClass::DecOnly, 160.0, 0.10, 0.10)
+        - dr(AttackClass::DecBounded, 160.0, 0.10, 0.10);
     assert!(small_gap >= -0.05, "Dec-Only should not be harder at D=40");
     assert!(
         large_gap <= small_gap + 0.1,
@@ -94,20 +113,29 @@ fn headline_claims_of_the_paper_hold_on_the_reduced_setup() {
     );
 
     // Claim 3 (§7.7): higher damage tolerates more node compromise.
-    let dr_d160_x50 =
-        ctx.detection_rate(MetricKind::Diff, AttackClass::DecBounded, 160.0, 0.50, 0.05);
-    let dr_d80_x50 =
-        ctx.detection_rate(MetricKind::Diff, AttackClass::DecBounded, 80.0, 0.50, 0.05);
+    let dr_d160_x50 = dr(AttackClass::DecBounded, 160.0, 0.50, 0.05);
+    let dr_d80_x50 = dr(AttackClass::DecBounded, 80.0, 0.50, 0.05);
     assert!(dr_d160_x50 + 0.1 >= dr_d80_x50);
 }
 
 #[test]
 fn roc_curves_are_valid_probability_curves() {
-    let ctx = context();
-    for metric in MetricKind::ALL {
-        let set = ctx.score_set(metric, AttackClass::DecBounded, 120.0, 0.10);
-        let roc = set.roc();
+    let grid = ParamGrid {
+        metrics: MetricKind::ALL.to_vec(),
+        attacks: vec![AttackMix::pure(AttackClass::DecBounded)],
+        damages: vec![120.0],
+        fractions: vec![0.10],
+    };
+    let dep = run_exact(grid, &SubstrateCache::new());
+    for cell in &dep.cells {
+        let roc = dep.roc(cell);
         assert!((0.0..=1.0).contains(&roc.auc()));
+        assert!(
+            roc.auc() > 0.5,
+            "{:?} should beat chance at D = 120 (AUC {})",
+            cell.params.metric,
+            roc.auc()
+        );
         let mut prev_fp = -1.0;
         for p in roc.points() {
             assert!((0.0..=1.0).contains(&p.false_positive_rate));
@@ -116,37 +144,4 @@ fn roc_curves_are_valid_probability_curves() {
             prev_fp = p.false_positive_rate;
         }
     }
-}
-
-#[test]
-fn streaming_scenario_results_agree_with_the_buffered_compat_layer() {
-    use lad::eval::scenario::{ParamGrid, ScenarioRunner, ScenarioSpec};
-
-    // The same single point, once through the exact EvalContext and once
-    // through a (forced binned) streaming scenario: DR within the streaming
-    // layer's documented bound.
-    let base = EvalConfig::bench();
-    let ctx = context();
-    let exact_dr = ctx.detection_rate(MetricKind::Diff, AttackClass::DecBounded, 120.0, 0.10, 0.05);
-
-    let spec = ScenarioSpec::new(
-        "smoke_point",
-        "single point",
-        lad::eval::experiments::standard_axis(&base),
-        ParamGrid::single(MetricKind::Diff, AttackClass::DecBounded, 120.0, 0.10),
-        base.sampling_plan(),
-    )
-    .with_accumulator(lad::stats::AccumulatorConfig {
-        exact_limit: 0,
-        ..Default::default()
-    });
-    let result = ScenarioRunner::new(&spec).run();
-    let dep = result.single();
-    let cell = &dep.cells[0];
-    let streamed_dr = dep.detection_rate(cell, 0.05);
-    let eps = cell.attacked.max_bin_fraction();
-    assert!(
-        streamed_dr <= exact_dr + 1e-9 && streamed_dr >= exact_dr - eps - 1e-9,
-        "streamed {streamed_dr} vs exact {exact_dr} (eps {eps})"
-    );
 }

@@ -61,8 +61,10 @@ fn run_trace_cached(
             .with_mu_cache_capacity(mu_cache_capacity),
     )
     .expect("runtime starts");
+    let (mut nodes, mut rows) = (Vec::new(), ObservationBatch::new(0));
     for round in 0..rounds {
-        runtime.submit_batch(round, traffic.round(network, round));
+        traffic.round_rows(network, round, &mut nodes, &mut rows);
+        runtime.submit_rows(round, &nodes, &rows);
     }
     let mut alarms: Vec<(u32, u64)> = runtime
         .drain_alarms()
@@ -252,8 +254,10 @@ fn telemetry_never_changes_alarms_or_states() {
                 .with_telemetry(telemetry),
         )
         .expect("runtime starts");
+        let (mut nodes, mut rows) = (Vec::new(), ObservationBatch::new(0));
         for round in 0..rounds {
-            runtime.submit_batch(round, traffic.round(&network, round));
+            traffic.round_rows(&network, round, &mut nodes, &mut rows);
+            runtime.submit_rows(round, &nodes, &rows);
         }
         let mut alarms: Vec<(u32, u64)> = runtime
             .drain_alarms()
@@ -327,8 +331,10 @@ fn drift_monitor_never_changes_alarms_or_states() {
             config = config.with_drift_monitor(DriftMonitorConfig::new(baseline.clone(), 0.2));
         }
         let runtime = ServeRuntime::start(engine.clone(), config).expect("runtime starts");
+        let (mut nodes, mut rows) = (Vec::new(), ObservationBatch::new(0));
         for round in 0..rounds {
-            runtime.submit_batch(round, traffic.round(&network, round));
+            traffic.round_rows(&network, round, &mut nodes, &mut rows);
+            runtime.submit_rows(round, &nodes, &rows);
             // Poll the monitor *while* traffic is in flight: the fold
             // message rides the same shard queues as the batches, so this
             // is the racy interleaving that must not perturb anything.
@@ -404,8 +410,10 @@ fn run_closed_loop(
         lift_after: 6,
     }));
     let mut alarms: Vec<JournalEntry> = Vec::new();
+    let (mut nodes, mut rows) = (Vec::new(), ObservationBatch::new(0));
     for round in 0..rounds {
-        runtime.submit_batch(round, traffic.round(network, round));
+        traffic.round_rows(network, round, &mut nodes, &mut rows);
+        runtime.submit_rows(round, &nodes, &rows);
         if respond {
             let outcome = controller.step(&runtime, round);
             if !outcome.newly_revoked.is_empty() {

@@ -1,4 +1,4 @@
-//! Integration tests of the training → threshold → detector pipeline,
+//! Integration tests of the training → threshold → verdict pipeline,
 //! including serialisation of trained artefacts.
 
 use lad::prelude::*;
@@ -55,20 +55,24 @@ fn trained_thresholds_serialize_and_round_trip() {
         let tb = back.threshold(metric, 0.99).unwrap();
         assert!((ta - tb).abs() <= ta.abs() * 1e-12);
     }
-    // The detector built from the deserialized thresholds behaves identically
-    // (up to the same float round-trip tolerance).
-    let a = trained.detector(MetricKind::Diff, 0.99);
-    let b = back.detector(MetricKind::Diff, 0.99);
-    assert!((a.threshold() - b.threshold()).abs() <= a.threshold().abs() * 1e-12);
 }
 
 #[test]
 fn detector_verdicts_serialize() {
     let trained = quick_training(3);
     let knowledge = knowledge();
-    let detector = trained.detector(MetricKind::Probability, 0.95);
+    let metric = MetricKind::Probability;
+    let threshold = trained.threshold(metric, 0.95).unwrap();
     let obs = Observation::from_counts(vec![0; knowledge.group_count()]);
-    let verdict = detector.detect(&knowledge, &obs, Point2::new(200.0, 200.0));
+    let score = metric
+        .metric()
+        .score_at(&knowledge, &obs, Point2::new(200.0, 200.0));
+    let verdict = Verdict {
+        metric,
+        score,
+        threshold,
+        anomalous: score > threshold,
+    };
     let json = serde_json::to_string(&verdict).unwrap();
     let back: Verdict = serde_json::from_str(&json).unwrap();
     assert_eq!(verdict, back);
@@ -83,18 +87,32 @@ fn detector_is_threshold_consistent_across_metrics() {
     let far = Point2::new(350.0, 350.0);
     let mu = knowledge.expected_observation(p);
     let obs = Observation::from_counts(mu.iter().map(|v| v.round() as u32).collect());
-    for metric in MetricKind::ALL {
-        let detector = trained.detector(metric, 0.999);
-        let near_score = detector.score(&knowledge, &obs, p);
-        let far_score = detector.score(&knowledge, &obs, far);
+    let thresholds: Vec<f64> = MetricKind::ALL
+        .iter()
+        .map(|&m| trained.threshold(m, 0.999).unwrap())
+        .collect();
+    let engine = LadEngine::builder()
+        .deployment(&DeploymentConfig::small_test())
+        .metrics(&MetricKind::ALL)
+        .thresholds(thresholds.clone())
+        .build()
+        .expect("engine builds");
+    let verdicts = engine.verify(&obs, far).verdicts;
+    for ((metric, threshold), verdict) in MetricKind::ALL.into_iter().zip(thresholds).zip(verdicts)
+    {
+        let near_score = metric.metric().score_at(&knowledge, &obs, p);
+        let far_score = metric.metric().score_at(&knowledge, &obs, far);
         assert!(
             far_score > near_score,
             "{:?}: far {far_score} should exceed near {near_score}",
             metric
         );
-        // The verdict agrees with a manual comparison against the threshold.
-        let verdict = detector.detect(&knowledge, &obs, far);
-        assert_eq!(verdict.anomalous, verdict.score > detector.threshold());
+        // The engine's verdict agrees with a manual comparison against the
+        // trained threshold.
+        assert_eq!(verdict.metric, metric);
+        assert!((verdict.score - far_score).abs() <= 1e-9 * far_score.abs().max(1.0));
+        assert_eq!(verdict.threshold, threshold);
+        assert_eq!(verdict.anomalous, verdict.score > threshold);
     }
 }
 
