@@ -74,6 +74,9 @@ fn bench_kernels(c: &mut Criterion) {
             scratch.mu().len()
         })
     });
+    group.bench_function("beaconless_mle_localize_paper_scale", |b| {
+        b.iter(|| localizer.estimate(&paper_knowledge, black_box(&paper_obs)))
+    });
     for kind in MetricKind::ALL {
         group.bench_function(&format!("{}_metric_score_paper_scale", kind.name()), |b| {
             let metric = kind.metric();

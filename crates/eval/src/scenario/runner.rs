@@ -10,8 +10,12 @@ use std::sync::Arc;
 /// Executes a [`ScenarioSpec`]: builds (or fetches) one [`Substrate`] per
 /// deployment axis, then fans the *entire* `deployment × cell` grid out on
 /// one Rayon pool — a 3-deployment × 60-cell scenario is 180 independent
-/// trial streams saturating the machine, not 180 sequential points each
-/// parallelising internally.
+/// trial streams, not 180 sequential points each parallelising internally.
+/// The streams keep every core busy to the end because the pool's workers
+/// claim small blocks of the work list as they go: cell costs are uneven
+/// (taint cost grows with the compromised fraction, and a denser deployment
+/// makes every cell dearer), and the list is deployment-major, so fixed
+/// per-core shares would leave one core holding all the expensive cells.
 pub struct ScenarioRunner<'a> {
     spec: &'a ScenarioSpec,
     cache: Option<&'a SubstrateCache>,
@@ -252,6 +256,38 @@ mod tests {
             }
             for (ca, cb) in da.cells.iter().zip(&db.cells) {
                 assert_eq!(ca.attacked, cb.attacked);
+            }
+        }
+    }
+
+    #[test]
+    fn results_do_not_depend_on_the_thread_schedule() {
+        // Two deployments of different density, so cell costs are uneven.
+        let mut spec = tiny_spec();
+        let base = spec.deployments[0].config;
+        spec.deployments.push(DeploymentAxis::new(
+            "dense",
+            base.with_group_size(base.group_size * 2),
+        ));
+        spec.grid.fractions = vec![0.1, 0.3];
+        // Top level: the grid fans out over the pool's workers. Inside a
+        // worker: the shim runs every inner pipeline sequentially.
+        let parallel = ScenarioRunner::new(&spec).run();
+        let nested: Vec<ScenarioResult> = (0..2usize)
+            .into_par_iter()
+            .map(|_| ScenarioRunner::new(&spec).run())
+            .collect();
+        for sequential in &nested {
+            assert_eq!(parallel.deployments.len(), sequential.deployments.len());
+            for (dp, ds) in parallel.deployments.iter().zip(&sequential.deployments) {
+                for metric in MetricKind::ALL {
+                    assert_eq!(dp.clean(metric), ds.clean(metric));
+                }
+                assert_eq!(dp.cells.len(), spec.grid.len());
+                for (cp, cs) in dp.cells.iter().zip(&ds.cells) {
+                    assert_eq!(cp.params, cs.params);
+                    assert_eq!(cp.attacked, cs.attacked);
+                }
             }
         }
     }

@@ -21,6 +21,10 @@ use lad_geometry::Point2;
 use lad_net::{Network, NodeId, Observation};
 use serde::{Deserialize, Serialize};
 
+/// Smallest group probability the likelihood takes a log of (and `1 − G_FLOOR`
+/// the largest), so groups out of reach contribute a finite penalty.
+const G_FLOOR: f64 = 1e-12;
+
 /// Maximum-likelihood beaconless localizer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BeaconlessMle {
@@ -58,17 +62,32 @@ impl BeaconlessMle {
     /// `g_i` per group; the yielded values (and hence the likelihood) are
     /// identical. The pattern search below evaluates this hundreds of
     /// times per estimate, so it dominates localization cost.
+    ///
+    /// `g` is clamped to `[G_FLOOR, 1 − G_FLOOR]` before taking logs. Every
+    /// `g ≤ G_FLOOR` — in particular the exact `0.0` that `g_iter` yields
+    /// outside the g(z) support, most groups — clamps to `G_FLOOR` itself,
+    /// so its two logs are the same two numbers every time: they are taken
+    /// once per call, and `ln` runs only for the in-support groups. The
+    /// terms and their summation order are unchanged, so the result is
+    /// bit-identical to clamping and taking both logs for every group (NaN
+    /// fails the comparison and still goes through `clamp`).
     pub fn log_likelihood(
         knowledge: &DeploymentKnowledge,
         obs: &Observation,
         theta: Point2,
     ) -> f64 {
         let m = knowledge.group_size() as f64;
+        let ln_floor = G_FLOOR.ln();
+        let ln_floor_complement = (1.0 - G_FLOOR).ln();
         let mut ll = 0.0;
         for (g, &o) in knowledge.g_iter(theta).zip(obs.counts()) {
-            let g = g.clamp(1e-12, 1.0 - 1e-12);
             let oi = o as f64;
-            ll += oi * g.ln() + (m - oi) * (1.0 - g).ln();
+            if g <= G_FLOOR {
+                ll += oi * ln_floor + (m - oi) * ln_floor_complement;
+            } else {
+                let g = g.clamp(G_FLOOR, 1.0 - G_FLOOR);
+                ll += oi * g.ln() + (m - oi) * (1.0 - g).ln();
+            }
         }
         ll
     }
@@ -178,6 +197,63 @@ mod tests {
         let obs = Observation::zeros(knowledge.group_count());
         assert!(BeaconlessMle::new().estimate(&knowledge, &obs).is_none());
         assert!(BeaconlessMle::weighted_centroid(&knowledge, &obs).is_none());
+    }
+
+    /// The likelihood as written before the constant logs were hoisted:
+    /// clamp, then take both logs, for every group.
+    fn reference_log_likelihood(
+        knowledge: &DeploymentKnowledge,
+        obs: &Observation,
+        theta: Point2,
+    ) -> f64 {
+        let m = knowledge.group_size() as f64;
+        let mut ll = 0.0;
+        for (g, &o) in knowledge.g_iter(theta).zip(obs.counts()) {
+            let g = g.clamp(1e-12, 1.0 - 1e-12);
+            let oi = o as f64;
+            ll += oi * g.ln() + (m - oi) * (1.0 - g).ln();
+        }
+        ll
+    }
+
+    #[test]
+    fn hoisted_likelihood_is_bit_identical_to_the_reference_at_paper_scale() {
+        let offsets = [
+            (0.0, 0.0),
+            (0.25, -0.5),
+            (3.0, 7.0),
+            (-40.0, 25.0),
+            (150.0, -90.0),
+            (-600.0, 0.0),
+            (2_000.0, 2_000.0),
+        ];
+        let mut probes = 0;
+        for (m, seed) in [(100, 41), (300, 42), (1000, 43)] {
+            let cfg = DeploymentConfig::paper_default().with_group_size(m);
+            let net = Network::generate(DeploymentKnowledge::shared(&cfg), seed);
+            let knowledge = net.knowledge();
+            let step = (net.node_count() / 40).max(1) as u32;
+            for id in (0..40u32).map(|i| NodeId(i * step)) {
+                let obs = net.true_observation(id);
+                let at = net.node(id).resident_point;
+                let mut thetas: Vec<Point2> = offsets
+                    .iter()
+                    .map(|&(dx, dy)| Point2::new(at.x + dx, at.y + dy))
+                    .collect();
+                thetas.push(knowledge.layout().deployment_point(0));
+                for theta in thetas {
+                    let hoisted = BeaconlessMle::log_likelihood(knowledge, &obs, theta);
+                    let reference = reference_log_likelihood(knowledge, &obs, theta);
+                    assert_eq!(
+                        hoisted.to_bits(),
+                        reference.to_bits(),
+                        "m = {m}, node {id:?}, theta {theta:?}: {hoisted} vs {reference}"
+                    );
+                    probes += 1;
+                }
+            }
+        }
+        assert_eq!(probes, 3 * 40 * 8);
     }
 
     #[test]

@@ -3,9 +3,13 @@
 //! Implements the subset the workspace uses — `par_iter` / `into_par_iter`
 //! over slices, vectors and ranges with `map`, `filter`, `filter_map`,
 //! `flat_map`, `enumerate`, `for_each`, `sum` and `collect` — on top of
-//! `std::thread::scope`. Work is split into contiguous index chunks, one per
-//! available core, and results are concatenated in input order, so outputs
-//! are **deterministic and identical to sequential evaluation** regardless of
+//! `std::thread::scope`. One worker per available core claims small
+//! contiguous blocks of indices from a shared counter until none are left,
+//! so a worker that drew cheap indices goes on to claim more instead of
+//! idling while another finishes a run of expensive ones (the load balance
+//! rayon's work stealing gives). Each worker's claims are increasing, and
+//! the blocks are re-assembled in index order, so outputs are
+//! **deterministic and identical to sequential evaluation** regardless of
 //! scheduling (the same guarantee the workspace relies on from rayon).
 //!
 //! Nested parallel pipelines (a `collect` inside a worker of another
@@ -14,6 +18,7 @@
 //! changing results.
 
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Commonly imported items, mirroring `rayon::prelude`.
 pub mod prelude {
@@ -25,6 +30,15 @@ pub mod prelude {
 thread_local! {
     static IS_WORKER: Cell<bool> = const { Cell::new(false) };
 }
+
+/// One worker's share of a pipeline: its items in claim order, and
+/// `(block, item count)` for each block it claimed.
+type WorkerOutput<T> = (Vec<T>, Vec<(usize, usize)>);
+
+/// Blocks per worker a pipeline is cut into: enough that the last blocks
+/// claimed are a small share of any worker's work, few enough that the
+/// shared counter is touched rarely for cheap indices.
+const BLOCKS_PER_WORKER: usize = 32;
 
 fn worker_count(items: usize) -> usize {
     if items <= 1 || IS_WORKER.with(Cell::get) {
@@ -124,7 +138,7 @@ pub trait ParallelIterator: Sized + Send + Sync {
     }
 
     /// Evaluates the pipeline across worker threads and concatenates the
-    /// per-chunk outputs in input order.
+    /// per-block outputs in input order.
     fn drive(self) -> Vec<Self::Item> {
         let n = self.source_len();
         let workers = worker_count(n);
@@ -135,32 +149,56 @@ pub trait ParallelIterator: Sized + Send + Sync {
             }
             return out;
         }
-        let chunk = n.div_ceil(workers);
-        let pipeline = &self;
-        let mut chunks: Vec<Vec<Self::Item>> = std::thread::scope(|scope| {
+        let block = n.div_ceil(workers * BLOCKS_PER_WORKER);
+        let blocks = n.div_ceil(block);
+        let next = AtomicUsize::new(0);
+        let (pipeline, next) = (&self, &next);
+        let results: Vec<WorkerOutput<Self::Item>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let lo = w * chunk;
-                    let hi = ((w + 1) * chunk).min(n);
+                .map(|_| {
                     scope.spawn(move || {
                         IS_WORKER.with(|flag| flag.set(true));
-                        let mut out = Vec::with_capacity(hi.saturating_sub(lo));
-                        for idx in lo..hi {
-                            pipeline.eval_with(idx, &mut |item| out.push(item));
+                        let mut out = Vec::new();
+                        let mut claimed = Vec::new();
+                        loop {
+                            let b = next.fetch_add(1, Ordering::Relaxed);
+                            if b >= blocks {
+                                break;
+                            }
+                            let before = out.len();
+                            for idx in b * block..((b + 1) * block).min(n) {
+                                pipeline.eval_with(idx, &mut |item| out.push(item));
+                            }
+                            claimed.push((b, out.len() - before));
                         }
-                        out
+                        (out, claimed)
                     })
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("rayon shim worker panicked"))
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
                 .collect()
         });
-        let total = chunks.iter().map(Vec::len).sum();
+        // Every block was claimed exactly once, and each worker claimed its
+        // blocks in increasing order, so walking the blocks in order takes
+        // each worker's items front to back.
+        let mut owner = vec![(0, 0); blocks];
+        let mut total = 0;
+        let mut items = Vec::with_capacity(workers);
+        for (w, (out, claimed)) in results.into_iter().enumerate() {
+            for (b, len) in claimed {
+                owner[b] = (w, len);
+            }
+            total += out.len();
+            items.push(out.into_iter());
+        }
         let mut out = Vec::with_capacity(total);
-        for c in &mut chunks {
-            out.append(c);
+        for (w, len) in owner {
+            out.extend(items[w].by_ref().take(len));
         }
         out
     }
@@ -424,6 +462,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn collect_preserves_order() {
@@ -469,6 +508,94 @@ mod tests {
             .flat_map(|i| (0..4).map(move |j| i * 10 + j))
             .collect();
         assert_eq!(out, expected);
+    }
+
+    /// Burns CPU in proportion to `units`, returning a value the optimiser
+    /// cannot drop.
+    fn spin(units: usize) -> u64 {
+        let mut acc = 0u64;
+        for k in 0..units as u64 * 2_000 {
+            acc = std::hint::black_box(acc.wrapping_mul(31).wrapping_add(k));
+        }
+        acc
+    }
+
+    #[test]
+    fn order_survives_heavily_skewed_per_index_cost() {
+        // The last indices cost ~100x the first, so with more than one core
+        // the early blocks finish first and workers claim out of step.
+        let n = 300usize;
+        let out: Vec<(usize, u64)> = (0..n)
+            .into_par_iter()
+            .map(|i| (i, spin(if i >= n - 20 { 100 } else { 1 })))
+            .collect();
+        let expected: Vec<(usize, u64)> = (0..n)
+            .map(|i| (i, spin(if i >= n - 20 { 100 } else { 1 })))
+            .collect();
+        assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn edge_lengths_match_sequential_evaluation() {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let odd = workers * super::BLOCKS_PER_WORKER * 3 + 7;
+        for n in [0, 1, 2, workers.saturating_sub(1), workers + 1, odd, 10_007] {
+            let out: Vec<usize> = (0..n).into_par_iter().map(|x| x * 3 + 1).collect();
+            let expected: Vec<usize> = (0..n).map(|x| x * 3 + 1).collect();
+            assert_eq!(out, expected, "n = {n}");
+            let total: usize = (0..n).into_par_iter().sum();
+            assert_eq!(total, (0..n).sum::<usize>(), "n = {n}");
+            let hits = AtomicUsize::new(0);
+            (0..n).into_par_iter().for_each(|_| {
+                hits.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(hits.into_inner(), n, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn variable_output_per_index_stays_in_order() {
+        let n = 1_000usize;
+        let flat: Vec<usize> = (0..n)
+            .into_par_iter()
+            .flat_map(|i| vec![i; i % 7])
+            .collect();
+        let expected: Vec<usize> = (0..n).flat_map(|i| vec![i; i % 7]).collect();
+        assert_eq!(flat, expected);
+        let data: Vec<u64> = (0..n as u64).collect();
+        let kept: Vec<u64> = data
+            .par_iter()
+            .filter_map(|&x| {
+                if x % 3 != 0 || x % 5 == 0 {
+                    Some(x * x)
+                } else {
+                    None
+                }
+            })
+            .collect();
+        let expected: Vec<u64> = data
+            .iter()
+            .filter_map(|&x| {
+                if x % 3 != 0 || x % 5 == 0 {
+                    Some(x * x)
+                } else {
+                    None
+                }
+            })
+            .collect();
+        assert_eq!(kept, expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "boom at 77")]
+    fn a_panic_at_one_index_reaches_the_caller() {
+        let _: Vec<usize> = (0..200usize)
+            .into_par_iter()
+            .map(|i| {
+                assert!(i != 77, "boom at {i}");
+                i
+            })
+            .collect();
     }
 
     #[test]
