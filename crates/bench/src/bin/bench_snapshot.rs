@@ -22,7 +22,10 @@
 //! per-section deltas against a previous snapshot — throughputs, overhead
 //! factors, and the per-stage p99 latencies from the wire run — and flags
 //! anything that got more than 10% worse, so perf regressions stop hiding
-//! between PRs.
+//! between PRs. Every snapshot carries a `host` tag (cores, CPU model, SIMD
+//! flags); deltas against a snapshot from a different or untagged host are
+//! printed as "cross-host" and never flagged, since they measure the
+//! hardware as much as the change.
 
 use lad_core::engine::LadEngine;
 use lad_core::expected::rounded_expected;
@@ -127,15 +130,84 @@ struct WireRate {
     shed_fraction_at_2x_overload: f64,
 }
 
+/// The machine a snapshot was taken on. Deltas between two snapshots are
+/// comparable only when their host tags are equal.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+struct Host {
+    /// Cores available to this run — the shard-scaling curve only covers
+    /// shard counts ≤ this (shards beyond cores time-slice one CPU and
+    /// measure the scheduler, not the architecture).
+    cores: usize,
+    /// The CPU's model name, or "unknown" where the OS does not report it.
+    cpu_model: String,
+    /// The vector extensions detected at run time, comma-separated.
+    simd: String,
+}
+
+impl Host {
+    fn detect() -> Self {
+        let cores = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .find(|l| l.starts_with("model name"))
+                    .and_then(|l| l.split_once(':'))
+                    .map(|(_, model)| model.trim().to_string())
+            })
+            .unwrap_or_else(|| String::from("unknown"));
+        Self {
+            cores,
+            cpu_model,
+            simd: simd_flags().join(","),
+        }
+    }
+
+    /// Parses the `host` tag of an older snapshot; `None` when it has none.
+    fn of(snapshot: &Value) -> Option<Self> {
+        let host = snapshot.get("host")?;
+        Some(Self {
+            cores: host.get("cores")?.as_u64()? as usize,
+            cpu_model: host.get("cpu_model")?.as_str()?.to_string(),
+            simd: host.get("simd")?.as_str()?.to_string(),
+        })
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+fn simd_flags() -> Vec<&'static str> {
+    let mut flags = Vec::new();
+    if is_x86_feature_detected!("sse4.2") {
+        flags.push("sse4.2");
+    }
+    if is_x86_feature_detected!("avx") {
+        flags.push("avx");
+    }
+    if is_x86_feature_detected!("avx2") {
+        flags.push("avx2");
+    }
+    if is_x86_feature_detected!("fma") {
+        flags.push("fma");
+    }
+    if is_x86_feature_detected!("avx512f") {
+        flags.push("avx512f");
+    }
+    flags
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn simd_flags() -> Vec<&'static str> {
+    Vec::new()
+}
+
 /// The whole snapshot (`BENCH_<pr>.json`).
 #[derive(Debug, Serialize)]
 struct Snapshot {
     pr: u32,
     unix_time: u64,
-    /// Cores available to this run — the shard-scaling curve only covers
-    /// shard counts ≤ this (shards beyond cores time-slice one CPU and
-    /// measure the scheduler, not the architecture).
-    cores: usize,
+    host: Host,
     /// Whether this snapshot was taken with `--quick` (shorter windows;
     /// noisier numbers).
     quick: bool,
@@ -547,15 +619,29 @@ fn lookup(old: &Value, path: &str) -> Option<f64> {
     node.as_f64()
 }
 
-/// Prints per-section deltas vs a previous `BENCH_N.json` and flags every
-/// metric that got >10% worse. Returns the number of flagged regressions.
+/// Prints per-section deltas vs a previous `BENCH_N.json` and, when both
+/// snapshots carry the same host tag, flags every metric that got >10%
+/// worse. Returns the number of flagged regressions (always 0 across
+/// hosts).
 fn compare_snapshots(old_path: &str, snap: &Snapshot) -> usize {
     let text =
         std::fs::read_to_string(old_path).unwrap_or_else(|e| panic!("--compare {old_path}: {e}"));
     let old = serde_json::parse_value(&text)
         .unwrap_or_else(|e| panic!("--compare {old_path}: parse error {e:?}"));
     let old_pr = old.get("pr").and_then(Value::as_u64).unwrap_or(0);
-    println!("== delta vs {old_path} (PR {old_pr}) ==");
+    let same_host = Host::of(&old).as_ref() == Some(&snap.host);
+    if same_host {
+        println!("== delta vs {old_path} (PR {old_pr}, same host) ==");
+    } else {
+        let old_host = Host::of(&old).map_or(String::from("an untagged host"), |h| {
+            format!("{} cores, {}, [{}]", h.cores, h.cpu_model, h.simd)
+        });
+        println!(
+            "== cross-host delta vs {old_path} (PR {old_pr}, taken on {old_host}; this run: \
+             {} cores, {}, [{}]) — hardware differences, not regressions ==",
+            snap.host.cores, snap.host.cpu_model, snap.host.simd
+        );
+    }
     let mut regressions = 0usize;
     for metric in metrics_of(snap) {
         let Some(before) = lookup(&old, &metric.name) else {
@@ -573,7 +659,9 @@ fn compare_snapshots(old_path: &str, snap: &Snapshot) -> usize {
         } else {
             change
         };
-        let flag = if worse > 0.10 {
+        let flag = if !same_host {
+            "  (cross-host)"
+        } else if worse > 0.10 {
             regressions += 1;
             "  ⚠ REGRESSION >10%"
         } else {
@@ -613,9 +701,8 @@ fn main() {
     } else {
         Effort::full()
     };
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let host = Host::detect();
+    let cores = host.cores;
 
     let paper = DeploymentConfig::paper_default();
     let big = DeploymentConfig {
@@ -692,7 +779,7 @@ fn main() {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
             .unwrap_or(0),
-        cores,
+        host,
         quick,
         kernel_paper_scale: kernel_scale(
             effort,

@@ -1,63 +1,49 @@
 //! The deployment knowledge object shared by all sensors.
 //!
 //! [`DeploymentKnowledge`] bundles everything a sensor is assumed to know
-//! before deployment (§3 of the paper): the deployment points of all groups,
-//! the placement distribution, the group size `m`, the transmission range `R`
-//! and the precomputed `g(z)` table. It provides `g_i(θ)` and the expected
-//! observation `µ(θ)` used by both the LAD detector and the beaconless
-//! localization scheme.
+//! before deployment (§3 of the paper): the grid deployment points of all
+//! groups (§3.1), the Gaussian placement σ (§3.2), the group size `m`, the
+//! transmission range `R` and the precomputed `g(z)` table (§3.3). It
+//! provides `g_i(θ)` and the expected observation `µ(θ)` used by both the
+//! LAD detector and the beaconless localization scheme. It is built from a
+//! [`DeploymentConfig`] alone; that config is all that is ever persisted.
 
 use crate::config::DeploymentConfig;
 use crate::gz::GzTable;
 use crate::layout::DeploymentLayout;
 use crate::mu_cache::MuCache;
-use crate::placement::PlacementModel;
 use crate::sparse::{SparseMu, SupportIndex};
 use lad_geometry::Point2;
-use serde::{Deserialize, Error, Serialize, Value};
 use std::sync::Arc;
 
 /// Pre-deployment knowledge stored on every sensor.
 ///
-/// Besides the layout, placement model and g(z) table, the knowledge object
-/// precomputes a spatial support index over the deployment points (per-cell
-/// sorted candidate lists, cells sized from the g(z) tail `z_max`), so the
+/// Besides the layout and g(z) table, the knowledge object precomputes a
+/// spatial support index over the deployment points (per-cell sorted
+/// candidate lists, cells sized from the g(z) tail `z_max`), so the
 /// **support** of `µ(θ)` — the groups within `z_max` of `θ`, the only ones
 /// with `g_i(θ) ≠ 0` — can be enumerated in O(k) by
-/// [`Self::expected_sparse_into`] instead of scanning all `n` groups. The
-/// index is derived state: it is rebuilt (not stored) when a knowledge
-/// object is deserialised.
+/// [`Self::expected_sparse_into`] instead of scanning all `n` groups.
 #[derive(Debug, Clone)]
 pub struct DeploymentKnowledge {
     config: DeploymentConfig,
     layout: DeploymentLayout,
-    placement: PlacementModel,
     gz: GzTable,
     /// Precomputed per-cell support candidate lists (see [`SupportIndex`]).
     support: SupportIndex,
 }
 
 impl DeploymentKnowledge {
-    /// Builds the knowledge object for a grid layout described by `config`
-    /// with the paper's Gaussian placement.
+    /// Builds the knowledge object for the grid layout and Gaussian
+    /// placement described by `config`.
     pub fn from_config(config: &DeploymentConfig) -> Self {
         config.validate().expect("invalid deployment configuration");
         let layout = DeploymentLayout::grid(config);
-        Self::new(*config, layout, PlacementModel::gaussian(config.sigma))
-    }
-
-    /// Builds the knowledge object for an explicit layout and placement model.
-    pub fn new(
-        config: DeploymentConfig,
-        layout: DeploymentLayout,
-        placement: PlacementModel,
-    ) -> Self {
-        let gz = GzTable::build(config.range, placement.spread(), config.gz_table_omega);
+        let gz = GzTable::build(config.range, config.sigma, config.gz_table_omega);
         let support = SupportIndex::build(layout.deployment_points(), layout.area(), gz.z_max());
         Self {
-            config,
+            config: *config,
             layout,
-            placement,
             gz,
             support,
         }
@@ -77,16 +63,6 @@ impl DeploymentKnowledge {
     /// The deployment-point layout.
     pub fn layout(&self) -> &DeploymentLayout {
         &self.layout
-    }
-
-    /// The placement model.
-    pub fn placement(&self) -> PlacementModel {
-        self.placement
-    }
-
-    /// The precomputed g(z) table.
-    pub fn gz_table(&self) -> &GzTable {
-        &self.gz
     }
 
     /// Number of deployment groups `n`.
@@ -231,14 +207,6 @@ impl DeploymentKnowledge {
         }
     }
 
-    /// The sparse expected observation at `θ` as a fresh buffer. Thin
-    /// allocating wrapper over [`Self::expected_sparse_into`].
-    pub fn expected_sparse(&self, theta: Point2) -> SparseMu {
-        let mut out = SparseMu::new();
-        self.expected_sparse_into(theta, &mut out);
-        out
-    }
-
     /// The sparse expected observation at `θ`, memoized through `cache`.
     ///
     /// A miss runs [`Self::expected_sparse_into`] into the cache slot; a
@@ -264,42 +232,6 @@ impl DeploymentKnowledge {
     /// Expected total number of neighbours at `θ` (sum of `µ_i`).
     pub fn expected_neighbor_count(&self, theta: Point2) -> f64 {
         self.expected_iter(theta).sum()
-    }
-}
-
-// The spatial support index is derived state rebuilt from the serialised
-// fields, so (de)serialisation is implemented by hand instead of derived
-// (the serde shim has no `#[serde(skip)]`); the wire format matches what
-// `#[derive(Serialize)]` produced before the index existed.
-impl Serialize for DeploymentKnowledge {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            (String::from("config"), self.config.to_value()),
-            (String::from("layout"), self.layout.to_value()),
-            (String::from("placement"), self.placement.to_value()),
-            (String::from("gz"), self.gz.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for DeploymentKnowledge {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| Error::custom(format!("DeploymentKnowledge is missing `{name}`")))
-        };
-        let config: DeploymentConfig = Deserialize::from_value(field("config")?)?;
-        let layout: DeploymentLayout = Deserialize::from_value(field("layout")?)?;
-        let placement: PlacementModel = Deserialize::from_value(field("placement")?)?;
-        let gz: GzTable = Deserialize::from_value(field("gz")?)?;
-        let support = SupportIndex::build(layout.deployment_points(), layout.area(), gz.z_max());
-        Ok(Self {
-            config,
-            layout,
-            placement,
-            gz,
-            support,
-        })
     }
 }
 
@@ -399,7 +331,6 @@ mod tests {
         // kernel's early-out).
         let k = knowledge();
         let z_max = k.support_radius();
-        assert_eq!(z_max, k.gz_table().z_max());
         let mut smu = crate::SparseMu::new();
         for (i, theta) in [
             Point2::new(500.0, 500.0),
@@ -419,24 +350,6 @@ mod tests {
                 .collect();
             assert_eq!(got, brute, "support mismatch for probe {i} at {theta:?}");
         }
-    }
-
-    #[test]
-    fn knowledge_serde_round_trip_rebuilds_the_support_index() {
-        let k = knowledge();
-        let json = serde_json::to_string(&k).expect("knowledge serialises");
-        let back: DeploymentKnowledge = serde_json::from_str(&json).expect("knowledge parses");
-        assert_eq!(back.config(), k.config());
-        assert_eq!(back.layout(), k.layout());
-        let theta = Point2::new(430.0, 510.0);
-        assert_eq!(
-            back.expected_observation(theta),
-            k.expected_observation(theta)
-        );
-        assert_eq!(
-            back.expected_sparse(theta).entries(),
-            k.expected_sparse(theta).entries()
-        );
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! Sensors are deployed in `n` equal-size groups; group `G_i` is dropped at a
 //! known **deployment point** and each of its members lands at a **resident
 //! point** drawn from an isotropic 2-D Gaussian centred at the deployment
-//! point (§3.2). The deployment points are arranged in a grid by default
-//! (Figure 1), but the paper notes that hexagonal or arbitrary known layouts
-//! work equally well — all three are provided by [`layout`].
+//! point (§3.2). The deployment points are arranged in a grid (§3.1,
+//! Figure 1; see [`layout`]).
 //!
 //! The quantity the detector actually needs is `g_i(θ)`: the probability that
 //! a node of group `G_i` resides within transmission range `R` of the point
@@ -19,7 +18,8 @@
 //! [`gz`] implements the exact quadrature and the constant-time ω-entry
 //! lookup table of §3.3; [`knowledge`] bundles the layout, the table and the
 //! group size into the [`DeploymentKnowledge`] object consumed by the
-//! detector and the localization schemes.
+//! detector and the localization schemes. [`sparse`] and [`mu_cache`] hold
+//! the sparse µ representation and its per-shard memo.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -29,13 +29,11 @@ pub mod gz;
 pub mod knowledge;
 pub mod layout;
 pub mod mu_cache;
-pub mod placement;
 pub mod sparse;
 
 pub use config::DeploymentConfig;
 pub use gz::{gz_exact, GzTable, PreparedGz};
 pub use knowledge::DeploymentKnowledge;
-pub use layout::{DeploymentLayout, LayoutKind};
+pub use layout::DeploymentLayout;
 pub use mu_cache::MuCache;
-pub use placement::PlacementModel;
 pub use sparse::SparseMu;

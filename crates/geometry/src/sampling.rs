@@ -17,14 +17,6 @@ pub fn uniform_in_rect<R: Rng + ?Sized>(rng: &mut R, rect: Rect) -> Point2 {
     )
 }
 
-/// Samples a point uniformly at random inside the disk of radius `radius`
-/// centred at `center` (area-uniform, i.e. radius is sqrt-distributed).
-pub fn uniform_in_disk<R: Rng + ?Sized>(rng: &mut R, center: Point2, radius: f64) -> Point2 {
-    let r = radius * rng.gen::<f64>().sqrt();
-    let theta = rng.gen_range(0.0..TAU);
-    center.offset_polar(r, theta)
-}
-
 /// Samples a point at *exactly* distance `dist` from `anchor`, in a uniformly
 /// random direction. Used to create the `|L_e − L_a| = D` displaced locations
 /// of a D-anomaly attack (paper §7.1, step 2).
@@ -131,24 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_in_disk_stays_inside_and_covers_area() {
-        let mut r = rng(2);
-        let c = Point2::new(5.0, -3.0);
-        let mut inner = 0usize;
-        let n = 20_000;
-        for _ in 0..n {
-            let p = uniform_in_disk(&mut r, c, 10.0);
-            assert!(c.distance(p) <= 10.0 + 1e-9);
-            if c.distance(p) <= 10.0 / 2.0_f64.sqrt() {
-                inner += 1;
-            }
-        }
-        // Area-uniform: half the samples fall within r/sqrt(2).
-        let frac = inner as f64 / n as f64;
-        assert!((frac - 0.5).abs() < 0.02, "frac = {frac}");
-    }
-
-    #[test]
     fn at_distance_is_exact() {
         let mut r = rng(3);
         let a = Point2::new(100.0, 200.0);
@@ -193,6 +167,27 @@ mod tests {
         assert!((sy / nf).abs() < 1.5, "mean y drift {}", sy / nf);
         assert!(((sxx / nf).sqrt() - sigma).abs() < 1.5);
         assert!(((syy / nf).sqrt() - sigma).abs() < 1.5);
+    }
+
+    #[test]
+    fn gaussian_sampling_matches_radial_cdf() {
+        // The radial distance of an isotropic Gaussian is Rayleigh(σ), whose
+        // CDF 1 − exp(−r²/2σ²) is the closed-form term of Theorem 1.
+        let sigma = 50.0;
+        let dp = Point2::new(200.0, 300.0);
+        let mut r = rng(31);
+        let n = 30_000;
+        for &radius in &[25.0, 50.0, 100.0] {
+            let inside = (0..n)
+                .filter(|_| gaussian_around(&mut r, dp, sigma).distance(dp) <= radius)
+                .count();
+            let frac = inside as f64 / n as f64;
+            let expected = 1.0 - (-(radius * radius) / (2.0 * sigma * sigma)).exp();
+            assert!(
+                (frac - expected).abs() < 0.015,
+                "r={radius} frac={frac} expected={expected}"
+            );
+        }
     }
 
     #[test]

@@ -22,12 +22,6 @@ impl Vec2 {
         Self { x, y }
     }
 
-    /// Unit vector in direction `angle` (radians from +x axis).
-    #[inline]
-    pub fn from_angle(angle: f64) -> Self {
-        Self::new(angle.cos(), angle.sin())
-    }
-
     /// Euclidean length.
     #[inline]
     pub fn length(&self) -> f64 {
@@ -167,17 +161,6 @@ mod tests {
         let n = v.normalized().unwrap();
         assert!((n.length() - 1.0).abs() < 1e-12);
         assert!(Vec2::ZERO.normalized().is_none());
-    }
-
-    #[test]
-    fn from_angle_round_trips() {
-        for k in 0..8 {
-            let ang = -3.0 + k as f64 * 0.7;
-            let v = Vec2::from_angle(ang);
-            assert!((v.length() - 1.0).abs() < 1e-12);
-            // angle() is in (-pi, pi]; compare via dot with the original direction.
-            assert!((v.dot(Vec2::from_angle(v.angle())) - 1.0).abs() < 1e-12);
-        }
     }
 
     #[test]

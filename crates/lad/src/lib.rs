@@ -4,10 +4,11 @@
 //! for Wireless Sensor Networks"* (Wenliang Du, Lei Fang, Peng Ning,
 //! IPDPS 2005), including every substrate the paper depends on:
 //!
-//! * [`deployment`] — the group-based deployment-knowledge model, Gaussian
-//!   placement, and the Theorem-1 neighbourhood probability `g(z)`,
+//! * [`deployment`] — the group-based deployment-knowledge model (grid
+//!   deployment points, Gaussian placement) and the Theorem-1
+//!   neighbourhood probability `g(z)`,
 //! * [`net`] — the wireless sensor network simulator (nodes, neighbourhoods,
-//!   group-ID hello protocol, observations),
+//!   observations, CSR observation batches),
 //! * [`localization`] — the beaconless MLE scheme the paper evaluates on,
 //!   plus centroid and DV-Hop baselines,
 //! * [`core`] — the LAD contribution itself: the Diff / Add-all / Probability

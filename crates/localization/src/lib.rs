@@ -15,8 +15,11 @@
 //! * [`dvhop::DvHopLocalizer`] — hop-count based multilateration
 //!   (Niculescu & Nath), backed by the [`mmse`] least-squares solver,
 //! * [`anchors`] — anchor (beacon) node generation, including compromised
-//!   anchors that declare false positions,
-//! * [`error`] — localization-error measurement utilities.
+//!   anchors that declare false positions.
+//!
+//! Localization error `|L_e − L_a|` (Definition 1 of the paper) is measured
+//! where it is used: per training sample in `lad_core::training` and per
+//! deployment in `lad_eval`'s substrate summary.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -25,7 +28,6 @@ pub mod anchors;
 pub mod beaconless;
 pub mod centroid;
 pub mod dvhop;
-pub mod error;
 pub mod mmse;
 pub mod scheme;
 

@@ -3,7 +3,7 @@
 use crate::node::{GroupId, NodeId, SensorNode};
 use crate::observation::Observation;
 use lad_deployment::DeploymentKnowledge;
-use lad_geometry::{GridIndex, Point2};
+use lad_geometry::{sampling, GridIndex, Point2};
 use lad_stats::seeds::derive_seed;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -28,7 +28,7 @@ impl Network {
     pub fn generate(knowledge: Arc<DeploymentKnowledge>, seed: u64) -> Self {
         let group_count = knowledge.group_count();
         let group_size = knowledge.group_size();
-        let placement = knowledge.placement();
+        let sigma = knowledge.config().sigma;
         let layout = knowledge.layout().clone();
 
         let per_group: Vec<Vec<Point2>> = (0..group_count)
@@ -37,7 +37,7 @@ impl Network {
                 let mut rng = ChaCha8Rng::seed_from_u64(derive_seed(seed, &[g as u64]));
                 let dp = layout.deployment_point(g);
                 (0..group_size)
-                    .map(|_| placement.sample(&mut rng, dp))
+                    .map(|_| sampling::gaussian_around(&mut rng, dp, sigma))
                     .collect()
             })
             .collect();
@@ -189,6 +189,23 @@ mod tests {
         let c = small_network(8);
         assert_eq!(a.nodes(), b.nodes());
         assert_ne!(a.nodes(), c.nodes());
+    }
+
+    #[test]
+    fn generation_matches_the_golden_resident_points() {
+        // FNV-1a over the bits of every resident point: any change to the
+        // placement sampler or its RNG stream changes this constant.
+        let net = small_network(2024);
+        let fold = net.nodes().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, n| {
+            let p = n.resident_point;
+            [p.x, p.y].iter().fold(h, |h, v| {
+                (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        });
+        assert_eq!(
+            fold, 0x8259_c5b9_96d6_f8c7,
+            "resident points changed: {fold:#018x}"
+        );
     }
 
     #[test]

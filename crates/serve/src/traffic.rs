@@ -138,7 +138,6 @@ pub struct TrafficModel {
     /// Number of reporters in the compromised set (the timeline activates
     /// them gradually or all at once).
     compromised: usize,
-    hear_prob: f64,
     seed: u64,
     /// Post-revocation behaviour: `(node, round)` pairs, sorted by node —
     /// from `round` on the node no longer reports at all (a revoked
@@ -166,7 +165,6 @@ impl std::fmt::Debug for TrafficModel {
             .field("timeline", &self.timeline)
             .field("attack", &self.attack)
             .field("compromised", &self.compromised)
-            .field("hear_prob", &self.hear_prob)
             .field("seed", &self.seed)
             .field("silenced", &self.silenced.len())
             .field("notices", &self.notices.len())
@@ -233,24 +231,11 @@ impl TrafficModel {
             timeline: AttackTimeline::Clean,
             attack: None,
             compromised: 0,
-            hear_prob: DEFAULT_HEAR_PROB,
             seed,
             silenced: Vec::new(),
             notices: Vec::new(),
             evasion: None,
         }
-    }
-
-    /// Returns a copy with a different per-round hear probability (the
-    /// chance each true neighbour is heard in a given round). 1.0 disables
-    /// radio loss entirely — every clean report is then identical.
-    pub fn with_hear_prob(mut self, hear_prob: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&hear_prob),
-            "hear probability must be in [0, 1], got {hear_prob}"
-        );
-        self.hear_prob = hear_prob;
-        self
     }
 
     /// Returns a copy in which a `node_fraction` of the population turns
@@ -544,15 +529,11 @@ impl TrafficModel {
     }
 
     /// Radio loss: each observed neighbour survives the round independently
-    /// with the hear probability. Writes the heard counts into `out`.
+    /// with [`DEFAULT_HEAR_PROB`]. Writes the heard counts into `out`.
     fn thin_into(&self, observation: &Observation, rng: &mut ChaCha8Rng, out: &mut Observation) {
-        if self.hear_prob >= 1.0 {
-            out.clone_from(observation);
-            return;
-        }
         for (slot, &c) in out.counts_mut().iter_mut().zip(observation.counts()) {
             *slot = (0..c)
-                .filter(|_| rng.gen_range(0.0..1.0) < self.hear_prob)
+                .filter(|_| rng.gen_range(0.0..1.0) < DEFAULT_HEAR_PROB)
                 .count() as u32;
         }
     }
@@ -597,8 +578,9 @@ impl TrafficModel {
     }
 }
 
-/// Default per-round hear probability: light radio loss, enough to make
-/// clean score streams fluctuate round to round.
+/// Per-round hear probability (the chance each true neighbour is heard in a
+/// given round): light radio loss, enough to make clean score streams
+/// fluctuate round to round.
 pub const DEFAULT_HEAR_PROB: f64 = 0.9;
 
 #[cfg(test)]
@@ -756,14 +738,6 @@ mod tests {
             mean(&attacked_streams) > 2.0 * mean(&clean_streams),
             "a D=200 full compromise must dominate clean scores"
         );
-    }
-
-    #[test]
-    fn hear_prob_one_freezes_clean_reports() {
-        let engine = engine();
-        let network = Network::generate(engine.knowledge().clone(), 8);
-        let frozen = model(&engine, &network).with_hear_prob(1.0);
-        assert_eq!(rows(&frozen, &network, 0), rows(&frozen, &network, 17));
     }
 
     #[test]

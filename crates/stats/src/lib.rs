@@ -6,12 +6,13 @@
 //!   ([`integrate`]) and a constant-time **lookup table** ([`lookup`]),
 //! * the probability metric needs a numerically stable **binomial pmf**
 //!   ([`binomial`]),
-//! * the deployment model is a 2-D isotropic **Gaussian**, whose radial
-//!   distance is **Rayleigh** ([`gaussian`], [`rayleigh`], [`erf`]),
+//! * the deployment model is a 2-D isotropic **Gaussian** ([`gaussian`],
+//!   the pdf of Figure 2),
 //! * threshold training uses **percentiles** ([`percentile`]) over sampled
-//!   metric values ([`histogram`], [`summary`]),
+//!   metric values, and the reports use **summaries** ([`summary`]),
 //! * the evaluation section is built around **ROC curves** ([`roc`]) and
-//!   their O(bins)-memory **streaming accumulators** ([`streaming`]),
+//!   their O(bins)-memory **streaming accumulators** ([`streaming`]), whose
+//!   exact mode falls back to the two-sample **KS** distance ([`ks`]),
 //! * the online serving runtime needs **sequential detectors** over
 //!   per-round score streams ([`sequential`]),
 //! * reproducible parallel Monte-Carlo needs **seed derivation** ([`seeds`]).
@@ -23,14 +24,11 @@
 #![warn(clippy::all)]
 
 pub mod binomial;
-pub mod erf;
 pub mod gaussian;
-pub mod histogram;
 pub mod integrate;
 pub mod ks;
 pub mod lookup;
 pub mod percentile;
-pub mod rayleigh;
 pub mod roc;
 pub mod seeds;
 pub mod sequential;
@@ -38,10 +36,8 @@ pub mod streaming;
 pub mod summary;
 
 pub use binomial::Binomial;
-pub use gaussian::{Gaussian1d, IsotropicGaussian2d};
-pub use histogram::Histogram;
+pub use gaussian::IsotropicGaussian2d;
 pub use lookup::{LookupTable, PreparedLookup};
-pub use rayleigh::Rayleigh;
 pub use roc::{RocCurve, RocPoint};
 pub use sequential::{SequentialDetector, SequentialState};
 pub use streaming::{streaming_ks, streaming_roc, AccumulatorConfig, ScoreAccumulator};

@@ -168,14 +168,6 @@ impl ScoreAccumulator {
         }
     }
 
-    /// Consumes the accumulator, returning the raw scores when still exact.
-    pub fn into_exact_scores(self) -> Option<Vec<f64>> {
-        match self.state {
-            State::Exact(v) => Some(v),
-            State::Binned(_) => None,
-        }
-    }
-
     fn spill(&mut self) {
         if let State::Exact(values) = &mut self.state {
             let values = std::mem::take(values);

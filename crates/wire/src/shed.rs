@@ -125,15 +125,20 @@ impl TokenBucket {
     /// (admitted) or takes nothing (rejected — no partial admission, since
     /// a batch is scored whole or not at all).
     pub fn try_take(&mut self, n: f64, now_nanos: u64) -> bool {
+        let admitted = self.can_take(n, now_nanos);
+        if admitted {
+            self.tokens -= n;
+        }
+        admitted
+    }
+
+    /// Refills to `now_nanos` and reports whether `n` tokens are available,
+    /// taking none.
+    fn can_take(&mut self, n: f64, now_nanos: u64) -> bool {
         let dt = now_nanos.saturating_sub(self.last_nanos) as f64 / 1e9;
         self.last_nanos = self.last_nanos.max(now_nanos);
         self.tokens = (self.tokens + dt * self.limit.reports_per_sec).min(self.limit.burst);
-        if self.tokens >= n {
-            self.tokens -= n;
-            true
-        } else {
-            false
-        }
+        self.tokens >= n
     }
 }
 
@@ -169,10 +174,12 @@ impl IngestGate {
     ///
     /// Order matters: the rate limit is checked first (a hot source is
     /// *its own* problem and must not consume shed headroom), then the
-    /// shed threshold.
+    /// shed threshold. Tokens are taken only for an accepted batch: a shed
+    /// batch spends none of its source's budget.
     pub fn decide(&mut self, rows: u64, queue_depth: u64, now_nanos: u64) -> GateDecision {
+        let n = rows as f64;
         if let Some(bucket) = &mut self.bucket {
-            if !bucket.try_take(rows as f64, now_nanos) {
+            if !bucket.can_take(n, now_nanos) {
                 return GateDecision::Shed(ShedReason::RateLimited);
             }
         }
@@ -180,6 +187,9 @@ impl IngestGate {
             if queue_depth >= depth {
                 return GateDecision::Shed(ShedReason::Overloaded);
             }
+        }
+        if let Some(bucket) = &mut self.bucket {
+            bucket.tokens -= n;
         }
         GateDecision::Accept
     }
@@ -240,6 +250,27 @@ mod tests {
         // The default policy accepts everything.
         let mut open = IngestGate::new(OverloadPolicy::default());
         assert_eq!(open.decide(u64::MAX / 2, u64::MAX, 0), GateDecision::Accept);
+    }
+
+    #[test]
+    fn shed_batch_keeps_its_rate_budget() {
+        let policy = OverloadPolicy::default()
+            .with_rate_limit(10.0, 10.0)
+            .with_shed_depth(200);
+        let mut gate = IngestGate::new(policy);
+        // Within budget but past the shed threshold → NACK Overloaded…
+        assert_eq!(
+            gate.decide(10, 200, 0),
+            GateDecision::Shed(ShedReason::Overloaded)
+        );
+        // …and the NACKed batch spent none of the source's tokens.
+        assert_eq!(gate.decide(10, 0, 0), GateDecision::Accept);
+        // A rate-limited batch spends none either.
+        assert_eq!(
+            gate.decide(10, 0, 0),
+            GateDecision::Shed(ShedReason::RateLimited)
+        );
+        assert_eq!(gate.decide(5, 0, SEC / 2), GateDecision::Accept);
     }
 
     #[test]
